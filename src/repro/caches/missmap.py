@@ -14,15 +14,6 @@ segments are treated as "unknown" and the probe is performed.
 
 The paper's Fig. 12 evaluates the *ideal* predictor; this class lets
 the reproduction also measure a realistic one.
-
-Fastpath note (repro.sim.fastpath): the MissMap is consulted only on
-the vault-*miss* path (``predicts_miss`` runs after ``vault.lookup``
-fails), and every access the tier-2 vault-hit kernel retires is a
-guaranteed vault hit, so retired events never reach it and its state
-(including the LRU order of ``predicts_miss``'s touch) stays
-bit-identical to the reference loop without a shadow hook.  Fills and
-evictions only happen on the miss path too, which the kernel always
-routes through ``System.access``.
 """
 
 from repro.params import BLOCK_BYTES

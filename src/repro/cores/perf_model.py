@@ -134,9 +134,8 @@ class CoreModel:
         return self.instructions / cyc if cyc > 0 else 0.0
 
     def reset(self):
-        # In place, not rebound: the stats registry and the fast-path
-        # shadow filter (repro.sim.fastpath) hold references to these
-        # lists across reset_stats().
+        # In place, not rebound: the stats registry holds references
+        # to these lists across reset_stats().
         self.instructions = 0
         for lvl in range(NUM_LEVELS):
             self.data_latency[lvl] = 0.0

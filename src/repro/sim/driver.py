@@ -23,7 +23,6 @@ from repro.obs import session as _obs_session
 from repro.obs.profile import clock
 from repro.obs.stats import Distribution
 from repro.sim.config import LLC_PRIVATE_VAULT
-from repro.sim.fastpath import kernel_for
 from repro.sim.system import System
 
 DEFAULT_CHUNK = 200
@@ -68,78 +67,31 @@ def use_chunk(chunk):
 
 class EventLanes:
     """First-class pre-decoded event lanes of one trace: the write and
-    ifetch flags split out, the stall-time multiplier
+    ifetch flags split out and the stall-time multiplier
     (ifetch_stall_factor for ifetches, 1/mlp for data) resolved per
-    event, the fast-path event-key lane (``block << 2 | flags``, see
-    repro.sim.fastpath) and a running ifetch count for O(1) per-streak
-    counter bumps.
+    event.
 
     The decode is vectorized with numpy and done once per
     trace+params; warmup and measure phases -- and any later run over
     the same trace -- reuse it (memoized on the trace by
-    :func:`_decoded_lanes`).  The hot loops index plain Python lists
+    :func:`_decoded_lanes`).  The hot loop indexes plain Python lists
     (``tolist()``), which CPython reads faster than numpy scalars.
     Values are bit-identical to the original per-event ``iff if fl & 2
     else inv_mlp`` decode: both multiplier operands are the same two
     Python floats either way.
-
-    The numpy block and multiplier arrays are kept alongside the list
-    lanes so tier-2 timing lanes (:meth:`tier2_lanes`) can be derived
-    vectorized on demand.
     """
 
-    __slots__ = ("blocks", "writes", "ifetches", "lat_mul", "keys",
-                 "if_prefix", "blocks_arr", "lat_mul_arr", "_tier2")
+    __slots__ = ("blocks", "writes", "ifetches", "lat_mul")
 
     def __init__(self, trace, params):
         flags = np.asarray(trace.flags, dtype=np.int64)
-        blocks_arr = np.asarray(trace.blocks, dtype=np.int64)
-        inv_mlp = 1.0 / params.mlp
-        iff = params.ifetch_stall_factor
         ifetch_bits = flags & 2
-        if_prefix = np.zeros(len(flags) + 1, dtype=np.int64)
-        np.cumsum(ifetch_bits, out=if_prefix[1:])
-        lat_mul_arr = np.where(ifetch_bits != 0, iff, inv_mlp)
         self.blocks = trace.blocks
         self.writes = (flags & 1).tolist()
         self.ifetches = ifetch_bits.tolist()
-        self.lat_mul = lat_mul_arr.tolist()
-        self.keys = ((blocks_arr << 2) | (flags & 3)).tolist()
-        self.if_prefix = if_prefix.tolist()
-        self.blocks_arr = blocks_arr
-        self.lat_mul_arr = lat_mul_arr
-        self._tier2 = {}
-
-    def tier2_lanes(self, token, lat_lut, hop_lut, num_banks,
-                    const_lat):
-        """Per-event tier-2 timing lanes (lat, stall, hops), built
-        vectorized and memoized under ``token`` (which encodes the
-        tier-2 latency geometry, so distinct systems sharing a trace
-        never mix lanes).
-
-        Vault tier (constant local-hit latency): only the stall lane
-        exists -- ``const_lat * lat_mul`` per event, computed in
-        float64, the *identical* IEEE multiply the reference loop's
-        ``lat * lat_mul[i]`` performs.
-
-        NUCA tier: the home bank is ``block % num_banks``; the lat and
-        hop lanes gather per-core bank LUTs (mesh round trip + bank
-        access, and the hop count the reference's ``mesh.round_trip``
-        adds to ``link_traversals``)."""
-        got = self._tier2.get(token)
-        if got is None:
-            if lat_lut is None:
-                got = (None,
-                       (const_lat * self.lat_mul_arr).tolist(),
-                       None)
-            else:
-                banks = self.blocks_arr % num_banks
-                lat = lat_lut[banks]
-                got = (lat.tolist(),
-                       (lat * self.lat_mul_arr).tolist(),
-                       hop_lut[banks].tolist())
-            self._tier2[token] = got
-        return got
+        self.lat_mul = np.where(ifetch_bits != 0,
+                                params.ifetch_stall_factor,
+                                1.0 / params.mlp).tolist()
 
 
 def _decoded_lanes(trace, params):
@@ -169,15 +121,10 @@ def _per_core_state(system, traces):
 def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     """Interleave cores in ``chunk``-sized slices from per-core start to
     per-core end positions (positions may differ when prewarm prefixes
-    have different lengths).
-
-    When the system qualifies (repro.sim.fastpath), runs of
-    guaranteed-trivial L1 hits and local vault/NUCA-bank hits are
-    retired by the tiered shadow-filter kernel and only the remaining
-    events call ``System.access``; results are bit-identical either
-    way.  ``system.measuring`` is hoisted per drive: it only changes
-    between phases (prefetcher configs flip it mid-access, but those
-    disqualify the kernel).
+    have different lengths).  Every event goes through
+    ``System.access``; the core's clock advances by its per-event base
+    cycles plus the exposed latency scaled by the event's stall
+    multiplier.
 
     ``sampler`` is an optional
     :class:`repro.obs.telemetry.TelemetrySampler` ticked once per
@@ -185,9 +132,6 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
     count; disabled telemetry costs one ``is not None`` test per round.
     """
     access = system.access
-    kernel = kernel_for(system)
-    retire = None if kernel is None else kernel.retire_chunk
-    measuring = system.measuring
     positions = list(starts)
     remaining = sum(e - s for s, e in zip(starts, ends))
     total = remaining
@@ -197,24 +141,17 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
             hi = min(pos + chunk, ends[idx])
             if pos >= hi:
                 continue
-            if retire is None:
-                blocks = lanes.blocks
-                writes = lanes.writes
-                ifetches = lanes.ifetches
-                lat_mul = lanes.lat_mul
-                t = times[core]
-                for i in range(pos, hi):
-                    lat = access(core, blocks[i], writes[i], ifetches[i],
-                                 t)
-                    t += cpi_ev
-                    if lat:
-                        t += lat * lat_mul[i]
-                times[core] = t
-            else:
-                times[core] = retire(core, lanes, cpi_ev, pos, hi,
-                                     times[core], access, measuring)
-                if kernel.bailed:
-                    retire = None
+            blocks = lanes.blocks
+            writes = lanes.writes
+            ifetches = lanes.ifetches
+            lat_mul = lanes.lat_mul
+            t = times[core]
+            for i in range(pos, hi):
+                lat = access(core, blocks[i], writes[i], ifetches[i], t)
+                t += cpi_ev
+                if lat:
+                    t += lat * lat_mul[i]
+            times[core] = t
             remaining -= hi - pos
             positions[idx] = hi
         if sampler is not None:
@@ -356,8 +293,6 @@ class RunResult:
         }
         if sys_.config.llc_kind == LLC_PRIVATE_VAULT:
             data["protocol_provenance"] = _manifest.protocol_provenance()
-        if sys_.shadow_filter is not None:
-            data["fastpath"] = sys_.shadow_filter.summary()
         if sys_.tracer is not None:
             data["trace"] = sys_.tracer.summary()
         if sys_.faults is not None:
@@ -410,16 +345,6 @@ def run_system(system, traces, warmup_events, measure_events,
     times = [0.0] * system.num_cores
     per_core = _per_core_state(system, traces)
     system.measuring = False
-    kernel = kernel_for(system)
-    if kernel is not None:
-        # The prewarm prefix touches each block once by design -- a
-        # retired fraction measured over it says nothing about the
-        # workload proper, so it must not count toward the kernel's
-        # bail-out probation.  (The drive structure itself is shared
-        # with the kernel-off path: interleave boundaries are part of
-        # the reference results.)
-        kernel.set_probation_floor(
-            {tr.core_id: tr.prewarm_events for tr in traces})
     t0 = clock()
     with (profiler.region("warmup") if profiler is not None
           else nullcontext()):
@@ -447,22 +372,17 @@ def run_system(system, traces, warmup_events, measure_events,
                        warmup_events=warmup_events, telemetry=sampler)
     if profiler is not None:
         profiler.add_events(result.driven_events())
-        if system.shadow_filter is not None:
-            profiler.note_fastpath(system.shadow_filter.summary())
     if session is not None:
         session.note_run(result, seed=seed)
     return result
 
 
 def simulate(config, spec, plan, core_params=None, seed=0,
-             track_sharing=False, chunk=None, faults=None,
-             fastpath=None):
+             track_sharing=False, chunk=None, faults=None):
     """Convenience wrapper: build the system, generate traces for a
     homogeneous workload, run, and return the RunResult.  ``faults``
     is an optional :class:`repro.faults.FaultPlan`; inactive plans
-    attach nothing (bit-identical to fault-free).  ``fastpath``
-    forces the shadow-filter kernel on/off (None keeps the ambient
-    default); results are identical either way."""
+    attach nothing (bit-identical to fault-free)."""
     from repro.workloads.generator import generate_traces
 
     session = _obs_session.current_session()
@@ -474,8 +394,6 @@ def simulate(config, spec, plan, core_params=None, seed=0,
             core_params = [spec.core] * n
         system = System(config, core_params)
         system.track_sharing = track_sharing
-        if fastpath is not None:
-            system.use_fastpath = fastpath
         if faults is not None and faults.active():
             from repro.faults.injector import FaultInjector
             system.attach_faults(FaultInjector(faults, n))

@@ -13,8 +13,9 @@ engine exploits exactly that:
   is a plain in-process loop), deduplicating identical points first;
 * a :class:`RunCache` memoizes finished points on disk, keyed by a
   content hash of the request *and* a fingerprint of the simulator's
-  own source (git sha + per-file digests), so results survive across
-  figures and sessions but never across code changes;
+  own source (per-file content digests), so results survive across
+  figures, sessions and docs-only commits but never across code
+  changes;
 * a :class:`RunSummary` is the picklable, JSON-able result of one
   point -- per-core per-level latency sums and counts, latency
   histograms, retired instructions, RW-shared splits, system counters,
@@ -58,7 +59,6 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.stats import Distribution, Group
 from repro.sim.config import HierarchyConfig, LLC_PRIVATE_VAULT
 from repro.sim.driver import DEFAULT_CHUNK, default_chunk, run_system
-from repro.sim.fastpath import default_enabled
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.base import WorkloadSpec
 
@@ -66,16 +66,17 @@ from repro.workloads.base import WorkloadSpec
 #: changes: stale cache entries must not satisfy new-schema lookups.
 #: /2: requests carry an optional FaultPlan (keys and summaries of
 #: faulted runs must never alias fault-free ones).
-#: /3: requests record the fast-path setting.  The shadow-filter
-#: kernel is bit-identical to the reference loop, but the key must
-#: say *how* a summary was produced so a cached result can always be
-#: traced back to the exact execution path that made it.
+#: /3: requests recorded which drive-loop path (a batch kernel or
+#: the reference loop) produced a summary.
 #: /4: requests carry an execution mode ("simulate" or "estimate",
 #: repro.analytic.estimator) and summaries record it.  An analytic
 #: estimate is an approximation with a documented error envelope --
 #: it must never replay from a simulate-mode cache entry, nor the
 #: other way around, so the mode is part of the canonical request.
-ENGINE_SCHEMA = "silo-repro-runsummary/4"
+#: /5: requests drop the /3 execution-path flag (the drive loop has a
+#: single path) and the code fingerprint no longer mixes in the git
+#: sha, only per-file contents.
+ENGINE_SCHEMA = "silo-repro-runsummary/5"
 
 #: Execution modes a RunRequest may carry ("auto" is an engine-level
 #: triage policy, never a request mode: triage resolves each point to
@@ -117,10 +118,6 @@ class RunRequest:
     colocated: bool = False
     track_sharing: bool = False
     chunk: int = DEFAULT_CHUNK
-    #: Shadow-filter batch kernel (repro.sim.fastpath).  Results are
-    #: bit-identical either way -- recorded for provenance, defaulted
-    #: from the ambient setting by the constructors.
-    fastpath: bool = True
     #: Optional fault plan (repro.faults); None means fault-free and
     #: keys differently from any active plan.
     faults: Optional[FaultPlan] = None
@@ -132,31 +129,27 @@ class RunRequest:
     @classmethod
     def point(cls, config, spec, plan, seed, core_ids=None,
               track_sharing=False, chunk=None, faults=None,
-              fastpath=None, mode="simulate"):
+              mode="simulate"):
         """A homogeneous point: ``spec`` on all cores (or ``core_ids``),
         exactly like :func:`repro.sim.driver.simulate`.  ``faults``
         defaults to the ambient plan installed by
         :func:`repro.faults.use_plan` (None when none is installed);
-        ``chunk`` and ``fastpath`` default to the ambient settings
-        (:func:`repro.sim.driver.use_chunk`,
-        :func:`repro.sim.fastpath.use_fastpath`)."""
+        ``chunk`` defaults to the ambient interleave grain
+        (:func:`repro.sim.driver.use_chunk`)."""
         if core_ids is None:
             core_ids = tuple(range(config.num_cores))
         if faults is None:
             faults = current_plan()
         if chunk is None:
             chunk = default_chunk()
-        if fastpath is None:
-            fastpath = default_enabled()
         return cls(config=config, placements=((spec, tuple(core_ids)),),
                    plan=plan, seed=seed, colocated=False,
                    track_sharing=track_sharing, chunk=chunk,
-                   fastpath=fastpath, faults=faults, mode=mode)
+                   faults=faults, mode=mode)
 
     @classmethod
     def colocation(cls, config, assignments, plan, seed,
-                   chunk=None, faults=None, fastpath=None,
-                   mode="simulate"):
+                   chunk=None, faults=None, mode="simulate"):
         """A heterogeneous point: ``assignments`` is a list of
         ``(spec, core_ids)`` pairs with disjoint core sets, exactly like
         :func:`repro.workloads.colocation.generate_colocation_traces`."""
@@ -166,12 +159,9 @@ class RunRequest:
             faults = current_plan()
         if chunk is None:
             chunk = default_chunk()
-        if fastpath is None:
-            fastpath = default_enabled()
         return cls(config=config, placements=placements, plan=plan,
                    seed=seed, colocated=True, track_sharing=False,
-                   chunk=chunk, fastpath=fastpath, faults=faults,
-                   mode=mode)
+                   chunk=chunk, faults=faults, mode=mode)
 
     def canonical(self):
         """JSON-native dict that fully determines the simulation."""
@@ -185,7 +175,6 @@ class RunRequest:
             "colocated": self.colocated,
             "track_sharing": self.track_sharing,
             "chunk": self.chunk,
-            "fastpath": self.fastpath,
             "faults": (None if self.faults is None
                        else self.faults.canonical()),
             "mode": self.mode,
@@ -231,7 +220,6 @@ class RunRequest:
             colocated=data.get("colocated", False),
             track_sharing=data.get("track_sharing", False),
             chunk=data.get("chunk", DEFAULT_CHUNK),
-            fastpath=data.get("fastpath", True),
             faults=faults,
             mode=data.get("mode", "simulate"))
 
@@ -262,14 +250,14 @@ def fingerprint_files():
 
 @functools.lru_cache(maxsize=1)
 def code_fingerprint():
-    """Digest of the simulator's own source: the git sha plus a sha256
-    over every ``repro`` package file's contents (the
-    :func:`fingerprint_files` set).  Hashing file contents (not just
-    the sha) keeps dirty working trees from replaying stale cache
-    entries."""
+    """Digest of the simulator's own source: a sha256 over every
+    ``repro`` package file's path and contents (the
+    :func:`fingerprint_files` set).  It depends on the inputs, not on
+    the commit: dirty working trees miss cleanly, and a commit that
+    touches no package file (docs, benchmarks) keeps every cached run.
+    The git sha stays in manifests and summaries as provenance."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     h = hashlib.sha256()
-    h.update((_manifest.git_sha() or "no-git").encode("utf-8"))
     for rel in fingerprint_files():
         h.update(rel.encode("utf-8"))
         with open(os.path.join(root, rel), "rb") as f:
@@ -598,7 +586,6 @@ def execute_request(request):
     core_params = [p if p is not None else idle for p in core_params]
     system = System(config, core_params)
     system.track_sharing = request.track_sharing
-    system.use_fastpath = request.fastpath
     if request.faults is not None and request.faults.active():
         # Inactive plans (all-zero rates, no events) attach nothing,
         # so they are bit-identical to fault-free requests.

@@ -34,7 +34,6 @@ from repro.noc.mesh import Mesh2D
 from repro.obs.stats import Group
 from repro.obs.trace import (EV_COHERENCE, EV_DIRECTORY, EV_FAULT,
                              EV_INVALIDATE, EV_DOWNGRADE, EV_EVICTION)
-from repro.sim import fastpath as _fastpath
 from repro.sim.config import LLC_SHARED, LLC_PRIVATE_VAULT
 
 
@@ -142,13 +141,6 @@ class System:
         # the tracer, the disabled cost is one `is not None` check per
         # instrumented site, so fault-off runs stay bit-identical.
         self.faults = None
-        # Shadow-filter L1-hit fast path (repro.sim.fastpath): on by
-        # default (ambient $REPRO_FASTPATH / use_fastpath override);
-        # the run engine overwrites this from RunRequest.fastpath.
-        # The filter itself is built lazily by the first eligible
-        # _drive -- configs it would disqualify never pay for it.
-        self.use_fastpath = _fastpath.default_enabled()
-        self.shadow_filter = None
 
         # System-level counters
         self.llc_accesses = 0          # SRAM bank / DRAM vault accesses
@@ -449,8 +441,6 @@ class System:
         for c, vault in enumerate(self.vaults):
             if c == core or vault.tags[s] != block:
                 continue
-            # Through the method, not raw tag surgery: the fastpath
-            # vault shadow (repro.sim.fastpath) hangs off invalidate().
             vault.invalidate(block)
             if self.missmaps is not None:
                 self.missmaps[c].record_eviction(block)
@@ -678,11 +668,15 @@ class System:
             # L2 level, no event tracer): a flattened replica of the
             # path below with the per-feature branches removed and the
             # single-use helpers inlined.  Misses are where suite time
-            # goes (DESIGN.md Sec. 2f), and the call fan-out here was
-            # the largest single cost on miss-bound workloads.  Every
-            # operation runs in the original order, so results are
-            # bit-identical; the differential pin suite holds both
-            # paths together.
+            # goes, and the call fan-out here was the largest single
+            # cost on miss-bound workloads (DESIGN.md "Drive loop").
+            # Every operation runs in the original order, so results
+            # are bit-identical; tests/test_obs_inert.py
+            # (test_observability_is_inert, traced runs take the body
+            # below) and tests/test_fault_inert.py
+            # (test_attached_zero_rate_injector_is_inert) pin the two
+            # bodies together on counters, the full stats snapshot and
+            # the latency percentiles.
             return self._miss_private_plain(core, block, is_write,
                                             is_data, now)
         if self.l2 is not None:
@@ -827,8 +821,9 @@ class System:
         injector, no L2, no tracer): identical operations in identical
         order with the single-use helpers (``_fill_vault``,
         ``_fill_private_levels``, ``_fill_l1_private``, the mesh/memory
-        frontends) inlined.  Keep the two bodies in lockstep -- the
-        fastpath differential pins run both."""
+        frontends) inlined.  Keep the two bodies in lockstep --
+        ``test_observability_is_inert`` (tests/test_obs_inert.py) runs
+        both and compares every stat and latency percentile."""
         vault = self.vaults[core]
         s = block % vault.num_sets
         if vault.tags[s] == block:

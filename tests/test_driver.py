@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.core.systems import system_config
 from repro.cores.perf_model import CoreParams
 from repro.sim.config import HierarchyConfig
+from repro.sim.engine import RunRequest
 from repro.sim.system import System
-from repro.sim.driver import run_system, simulate
+from repro.sim.driver import (DEFAULT_CHUNK, _per_core_state,
+                              default_chunk, run_system, simulate,
+                              use_chunk)
 from repro.sim.sampling import SamplingPlan, PRESETS, from_env
+from repro.workloads.base import CodeSpec, RegionSpec, WorkloadSpec
 from repro.workloads.generator import CoreTrace, generate_traces
 from repro.workloads.scaleout import WEB_SEARCH
 
@@ -157,3 +162,91 @@ def test_run_wall_clock_and_throughput():
     assert result.measure_wall_s > 0
     assert result.driven_events() == 120
     assert result.events_per_sec() > 0
+
+
+# ---------------------------------------------------------------------------
+# interleave grain and decoded lanes
+# ---------------------------------------------------------------------------
+
+SCALE = 64
+PLAN = SamplingPlan(4_000, 2_000)
+
+#: A small, mostly L1-resident instruction + heap footprint: quick to
+#: simulate, with enough misses and writes to exercise the vault path.
+HOT_SPEC = WorkloadSpec(
+    name="driver_hot",
+    code=CodeSpec(size_mb=0.125, alpha=1.2),
+    regions=(
+        RegionSpec("heap", 0.125, "zipf", "private", 1.0,
+                   alpha=1.35, write_fraction=0.3),
+    ),
+    core=CoreParams(),
+)
+
+
+def _run(config_name, *, num_cores=4, chunk=None):
+    config = system_config(config_name, num_cores=num_cores, scale=SCALE)
+    return simulate(config, HOT_SPEC, PLAN, seed=7, chunk=chunk)
+
+
+def test_use_chunk_override(monkeypatch):
+    monkeypatch.delenv("REPRO_CHUNK", raising=False)
+    assert default_chunk() == DEFAULT_CHUNK
+    with use_chunk(64):
+        assert default_chunk() == 64
+    assert default_chunk() == DEFAULT_CHUNK
+    monkeypatch.setenv("REPRO_CHUNK", "321")
+    assert default_chunk() == 321
+    monkeypatch.setenv("REPRO_CHUNK", "0")
+    with pytest.raises(ValueError):
+        default_chunk()
+    monkeypatch.setenv("REPRO_CHUNK", "abc")
+    with pytest.raises(ValueError):
+        default_chunk()
+
+
+def test_run_request_defaults_from_ambient():
+    config = system_config("silo", num_cores=4, scale=SCALE)
+    assert RunRequest.point(config, HOT_SPEC, PLAN,
+                            seed=7).chunk == DEFAULT_CHUNK
+    with use_chunk(77):
+        req = RunRequest.point(config, HOT_SPEC, PLAN, seed=7)
+    assert req.chunk == 77
+
+
+def test_decoded_lanes_are_reused_across_systems():
+    config = system_config("silo", num_cores=4, scale=SCALE)
+    traces, layout = generate_traces(
+        HOT_SPEC, num_cores=4, events_per_core=PLAN.total_events,
+        scale=SCALE, seed=7)
+    sys_a = System(config, [HOT_SPEC.core] * 4)
+    sys_a.rw_shared_range = layout.rw_shared_range
+    lanes_a = _per_core_state(sys_a, traces)
+    sys_b = System(config, [HOT_SPEC.core] * 4)
+    sys_b.rw_shared_range = layout.rw_shared_range
+    lanes_b = _per_core_state(sys_b, traces)
+    for a, b in zip(lanes_a, lanes_b):
+        assert a[2] is b[2]                   # the EventLanes object
+        assert a[2].writes is b[2].writes     # and its decoded lanes
+        assert a[2].ifetches is b[2].ifetches
+        assert a[2].lat_mul is b[2].lat_mul
+
+
+def test_single_core_results_are_chunk_invariant():
+    # With one core the interleave grain cannot change event order, so
+    # results must be exactly identical across chunk sizes.
+    runs = [_run("silo", num_cores=1, chunk=chunk)
+            for chunk in (50, 200, 800)]
+    reference = runs[0]
+    for r in runs[1:]:
+        assert r.performance() == reference.performance()
+        assert r.stats_snapshot() == reference.stats_snapshot()
+        assert r.latency_percentiles() == reference.latency_percentiles()
+
+
+def test_multi_core_chunk_drift_is_bounded():
+    # Chunk size changes multi-core interleaving, which legitimately
+    # perturbs contention; the measured metric must stay close.
+    perf = {chunk: _run("silo", chunk=chunk).performance()
+            for chunk in (50, 800)}
+    assert perf[800] == pytest.approx(perf[50], rel=0.10)

@@ -199,6 +199,23 @@ def test_fingerprint_covers_fault_sources():
     assert any(f.endswith("sim/system.py") for f in files)
 
 
+def test_fingerprint_ignores_the_commit(monkeypatch):
+    """The cache key depends on inputs, not on commits: a commit that
+    touches no package file (docs, benchmarks) must keep every cached
+    run, so the fingerprint cannot move with the git sha."""
+    from repro.obs import manifest
+    fingerprints = []
+    try:
+        for sha in ("a" * 40, "b" * 40, None):
+            monkeypatch.setattr(manifest, "git_sha",
+                                lambda repo_dir=None, sha=sha: sha)
+            code_fingerprint.cache_clear()
+            fingerprints.append(code_fingerprint())
+    finally:
+        code_fingerprint.cache_clear()
+    assert len(set(fingerprints)) == 1
+
+
 def test_cache_tolerates_corruption(tmp_path):
     cache = RunCache(str(tmp_path))
     key = _point().key("fp")

@@ -98,7 +98,6 @@ def test_window_rates_are_fractions():
         assert 0.0 <= w["miss_rate"] <= 1.0
         assert 0.0 <= w["l1_hit_rate"] <= 1.0
         assert math.isclose(w["miss_rate"] + w["l1_hit_rate"], 1.0)
-        assert 0.0 <= w["fastpath_retired_fraction"] <= 1.0
         for pc in w["per_core"]:
             assert 0.0 <= pc["miss_rate"] <= 1.0
 
