@@ -217,8 +217,11 @@ def instrument(profiler, system):
     paths, ``coherence`` covers upgrades, peer invalidations and MOESI
     downgrades, ``directory`` the sharer-table/duplicate-tag lookups,
     ``noc`` the mesh latency calls, ``memory`` main-memory access,
-    ``ecc`` the fault-recovery paths.  Only instance attributes are
-    written; an uninstrumented System shares none of them.
+    ``ecc`` the fault-recovery paths.  On SILO runs the home-node hop
+    and the demand memory read are inlined into ``_miss_private``, so
+    their time counts in ``vault``, not in ``noc``/``memory``.  Only
+    instance attributes are written; an uninstrumented System shares
+    none of them.
     """
     _wrap_attr(profiler, system, "access", "access")
     if system.sharer_table is not None:

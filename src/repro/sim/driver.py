@@ -377,29 +377,20 @@ def run_system(system, traces, warmup_events, measure_events,
     return result
 
 
-def simulate(config, spec, plan, core_params=None, seed=0,
-             track_sharing=False, chunk=None, faults=None):
-    """Convenience wrapper: build the system, generate traces for a
-    homogeneous workload, run, and return the RunResult.  ``faults``
-    is an optional :class:`repro.faults.FaultPlan`; inactive plans
+def simulate(config, spec, plan, seed=0, track_sharing=False, chunk=None,
+             faults=None):
+    """Convenience wrapper: run ``spec`` on every core of ``config``
+    through :func:`repro.sim.engine.execute_request` and return the
+    RunResult.  ``faults`` is an optional
+    :class:`repro.faults.FaultPlan`, taken as given (an ambient
+    :func:`repro.faults.use_plan` does not apply); inactive plans
     attach nothing (bit-identical to fault-free)."""
-    from repro.workloads.generator import generate_traces
+    from repro.sim.engine import RunRequest, execute_request
 
-    session = _obs_session.current_session()
-    profiler = session.profiler if session is not None else None
-    with (profiler.region("setup") if profiler is not None
-          else nullcontext()):
-        n = config.num_cores
-        if core_params is None:
-            core_params = [spec.core] * n
-        system = System(config, core_params)
-        system.track_sharing = track_sharing
-        if faults is not None and faults.active():
-            from repro.faults.injector import FaultInjector
-            system.attach_faults(FaultInjector(faults, n))
-        traces, layout = generate_traces(
-            spec, num_cores=n, events_per_core=plan.total_events,
-            scale=config.scale, seed=seed)
-        system.rw_shared_range = layout.rw_shared_range
-    return run_system(system, traces, plan.warmup_events,
-                      plan.measure_events, chunk, seed=seed)
+    if chunk is None:
+        chunk = default_chunk()
+    return execute_request(RunRequest(
+        config=config,
+        placements=((spec, tuple(range(config.num_cores))),),
+        plan=plan, seed=seed, track_sharing=track_sharing, chunk=chunk,
+        faults=faults))

@@ -44,7 +44,7 @@ import hashlib
 import json
 import os
 import pickle
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Tuple
 
@@ -569,8 +569,10 @@ def execute_request(request):
     """Simulate one point; returns the live RunResult.
 
     This is the single source of truth for how a RunRequest turns into
-    a simulation -- the serial path, the pool workers and the
-    determinism tests all go through it.
+    a simulation -- the serial path, the pool workers, the determinism
+    tests and :func:`repro.sim.driver.simulate` all go through it.
+    Building the system and its traces is the profiler's ``setup``
+    region when the observation session profiles.
     """
     from repro.sim.system import System
     from repro.workloads.colocation import generate_colocation_traces
@@ -578,32 +580,36 @@ def execute_request(request):
 
     config = request.config
     plan = request.plan
-    core_params = [None] * config.num_cores
-    for spec, core_ids in request.placements:
-        for c in core_ids:
-            core_params[c] = spec.core
-    idle = CoreParams()
-    core_params = [p if p is not None else idle for p in core_params]
-    system = System(config, core_params)
-    system.track_sharing = request.track_sharing
-    if request.faults is not None and request.faults.active():
-        # Inactive plans (all-zero rates, no events) attach nothing,
-        # so they are bit-identical to fault-free requests.
-        from repro.faults.injector import FaultInjector
-        system.attach_faults(
-            FaultInjector(request.faults, config.num_cores))
-    if request.colocated:
-        traces, _layouts = generate_colocation_traces(
-            [(spec, list(ids)) for spec, ids in request.placements],
-            events_per_core=plan.total_events, scale=config.scale,
-            seed=request.seed)
-    else:
-        ((spec, core_ids),) = request.placements
-        traces, layout = generate_traces(
-            spec, num_cores=len(core_ids),
-            events_per_core=plan.total_events, scale=config.scale,
-            seed=request.seed, core_ids=list(core_ids))
-        system.rw_shared_range = layout.rw_shared_range
+    session = _obs_session.current_session()
+    profiler = session.profiler if session is not None else None
+    with (profiler.region("setup") if profiler is not None
+          else nullcontext()):
+        core_params = [None] * config.num_cores
+        for spec, core_ids in request.placements:
+            for c in core_ids:
+                core_params[c] = spec.core
+        idle = CoreParams()
+        core_params = [p if p is not None else idle for p in core_params]
+        system = System(config, core_params)
+        system.track_sharing = request.track_sharing
+        if request.faults is not None and request.faults.active():
+            # Inactive plans (all-zero rates, no events) attach nothing,
+            # so they are bit-identical to fault-free requests.
+            from repro.faults.injector import FaultInjector
+            system.attach_faults(
+                FaultInjector(request.faults, config.num_cores))
+        if request.colocated:
+            traces, _layouts = generate_colocation_traces(
+                [(spec, list(ids)) for spec, ids in request.placements],
+                events_per_core=plan.total_events, scale=config.scale,
+                seed=request.seed)
+        else:
+            ((spec, core_ids),) = request.placements
+            traces, layout = generate_traces(
+                spec, num_cores=len(core_ids),
+                events_per_core=plan.total_events, scale=config.scale,
+                seed=request.seed, core_ids=list(core_ids))
+            system.rw_shared_range = layout.rw_shared_range
     return run_system(system, traces, plan.warmup_events,
                       plan.measure_events, request.chunk,
                       seed=request.seed)

@@ -661,286 +661,193 @@ class System:
     # ------------------------------------------------------------------
 
     def _miss_private(self, core, block, is_write, is_data, now):
-        """L1 miss in SILO.  Returns (latency, level)."""
-        faults = self.faults
-        if faults is None and self.l2 is None and self.tracer is None:
-            # The shape every headline run takes (no fault injector, no
-            # L2 level, no event tracer): a flattened replica of the
-            # path below with the per-feature branches removed and the
-            # single-use helpers inlined.  Misses are where suite time
-            # goes, and the call fan-out here was the largest single
-            # cost on miss-bound workloads (DESIGN.md "Drive loop").
-            # Every operation runs in the original order, so results
-            # are bit-identical; tests/test_obs_inert.py
-            # (test_observability_is_inert, traced runs take the body
-            # below) and tests/test_fault_inert.py
-            # (test_attached_zero_rate_injector_is_inert) pin the two
-            # bodies together on counters, the full stats snapshot and
-            # the latency percentiles.
-            return self._miss_private_plain(core, block, is_write,
-                                            is_data, now)
-        if self.l2 is not None:
-            l2 = self.l2[core]
-            st = l2.lookup(block)
-            if st is not None:
-                if is_write and st != MODIFIED:
-                    if faults is not None and faults.offline[core]:
-                        # degraded mode: stores write through, the
-                        # on-chip copies stay Shared (no vault to
-                        # anchor an M line)
-                        self._invalidate_peer_vaults(core, block)
-                        self.memory.access(block, self.now,
-                                           is_write=True)
-                        faults.write_throughs += 1
-                    else:
-                        # treat as an upgrade through the normal
-                        # machinery (sweep peers on E->M too while any
-                        # vault is offline: see _write_upgrade)
-                        if st != EXCLUSIVE or (faults is not None
-                                               and faults.has_offline):
-                            self._invalidate_peer_vaults(core, block)
-                        l2.update(block, MODIFIED)
-                        vault = self.vaults[core]
-                        if vault.contains(block):
-                            vault.update(block, MODIFIED)
-                        st = MODIFIED
-                self._fill_l1_private(core, block, is_write, is_data, st)
-                return self.l2_latency, LEVEL_L2
+        """L1 miss in SILO.  Returns (latency, level).
 
+        Two stages.  The first finds the source: an L2 hit, a local
+        vault hit, or a vault miss that the home node's duplicate-tag
+        directory sends to a remote supplier or to memory, followed by
+        the vault fill and its inclusion eviction.  The second is one
+        tail for every source: write stores through while the core's
+        vault is offline, then fill the L2 (unless it hit) and the L1.
+        Fault injection, the event tracer and the L2 level cost an
+        ``is not None`` test per site when off; the home-node hop and
+        the demand memory read are inlined, since misses are where
+        suite time goes (DESIGN.md "One SILO miss path")."""
+        faults = self.faults
+        l2 = None if self.l2 is None else self.l2[core]
         offline = faults is not None and faults.offline[core]
         vault = self.vaults[core]
-        if not offline:
-            vst = vault.lookup(block)
-            if vst is not None:
-                # Local vault hit: one TAD access resolves tag + data.
-                lat = self.llc_latency
-                self.llc_accesses += 1
-                if faults is not None:
-                    vst, fault_lat = self._vault_hit_faults(core, block,
-                                                            vst)
-                    lat += fault_lat
-                if is_write and vst != MODIFIED:
-                    if vst != EXCLUSIVE or (faults is not None
-                                            and faults.has_offline):
+        num_sets = vault.num_sets
+        s = block % num_sets
+        state = None if l2 is None else l2.lookup(block)
+        if state is not None:
+            lat = self.l2_latency
+            level = LEVEL_L2
+            if is_write and state != MODIFIED:
+                if offline:
+                    # degraded mode: the store writes through below and
+                    # the on-chip copies stay Shared (no vault to
+                    # anchor an M line)
+                    self._invalidate_peer_vaults(core, block)
+                else:
+                    # an upgrade through the normal machinery (sweep
+                    # peers on E->M too while any vault is offline: see
+                    # _write_upgrade)
+                    if state != EXCLUSIVE or (faults is not None
+                                              and faults.has_offline):
                         self._invalidate_peer_vaults(core, block)
-                    vault.update(block, MODIFIED)
-                    vst = MODIFIED
-                self._fill_private_levels(core, block, is_write, is_data,
-                                          vst)
-                return lat, LEVEL_LLC_LOCAL
-
-        # Local vault miss (or the vault is offline and is bypassed).
-        if offline:
-            faults.remapped_accesses += 1
-            probe_skipped = True
-        elif self.local_mp == "ideal":
-            probe_skipped = True
-        elif self.missmaps is not None:
-            probe_skipped = self.missmaps[core].predicts_miss(block)
-        else:
-            probe_skipped = False
-        lat = 0 if probe_skipped else self.llc_latency
-        if not probe_skipped:
-            self.llc_accesses += 1  # the probe that discovered the miss
-        home = block % self.num_cores
-        lat += self.mesh.latency(core, home)
-        self.directory_lookups += 1
-        if self.tracer is not None:
-            self.tracer.emit(EV_DIRECTORY, self.now, home, block,
-                             "write" if is_write else "read")
-        home_offline = faults is not None and faults.offline[home]
-        if home_offline:
-            # The home vault physically stores this block's directory
-            # set; with it offline, the home node falls back to
-            # broadcast-snooping every online vault's tag array.
-            lat += self._broadcast_snoop(home)
-        elif self.dir_cache == "ideal":
-            pass  # metadata always in SRAM, zero cost
-        elif self.sram_dir_cache is not None:
-            dir_set = block % self.vaults[0].num_sets
-            if not self.sram_dir_cache.lookup(home, dir_set):
-                lat += self.dir_latency
-                self.llc_accesses += 1
-        else:
-            lat += self.dir_latency  # directory metadata is in DRAM
+                    l2.update(block, MODIFIED)
+                    if vault.tags[s] == block:
+                        vault.update(block, MODIFIED)
+                    state = MODIFIED
+        elif not offline and vault.tags[s] == block:
+            # Local vault hit: one TAD access resolves tag + data.
+            state = vault.states[s]
+            lat = self.llc_latency
+            level = LEVEL_LLC_LOCAL
             self.llc_accesses += 1
-        if faults is not None and not home_offline:
-            lat += self._directory_faults(home, block)
+            if faults is not None:
+                state, fault_lat = self._vault_hit_faults(core, block,
+                                                          state)
+                lat += fault_lat
+            if is_write and state != MODIFIED:
+                if state != EXCLUSIVE or (faults is not None
+                                          and faults.has_offline):
+                    self._invalidate_peer_vaults(core, block)
+                vault.update(block, MODIFIED)
+                state = MODIFIED
+        else:
+            # Local vault miss (or the vault is offline and bypassed).
+            if offline:
+                faults.remapped_accesses += 1
+                lat = 0
+            elif self.local_mp == "ideal" or (
+                    self.missmaps is not None
+                    and self.missmaps[core].predicts_miss(block)):
+                lat = 0
+            else:
+                lat = self.llc_latency
+                self.llc_accesses += 1  # the probe that discovered the miss
+            tracer = self.tracer
+            mesh = self.mesh
+            hops = mesh._hops
+            hop_lat = mesh.hop_latency
+            home = block % self.num_cores
+            h = hops[core][home]
+            mesh.link_traversals += h
+            lat += h * hop_lat
+            self.directory_lookups += 1
+            if tracer is not None:
+                tracer.emit(EV_DIRECTORY, self.now, home, block,
+                            "write" if is_write else "read")
+            if faults is not None and faults.offline[home]:
+                # The home vault physically stores this block's
+                # directory set; with it offline, the home node falls
+                # back to broadcast-snooping every online vault's tags.
+                lat += self._broadcast_snoop(home)
+            else:
+                if self.dir_cache == "ideal":
+                    pass  # metadata always in SRAM, zero cost
+                elif self.sram_dir_cache is not None:
+                    if not self.sram_dir_cache.lookup(home, s):
+                        lat += self.dir_latency
+                        self.llc_accesses += 1
+                else:
+                    lat += self.dir_latency  # directory metadata is in DRAM
+                    self.llc_accesses += 1
+                if faults is not None:
+                    lat += self._directory_faults(home, block)
 
-        holders = self.directory.holder_states(block)
-        new_state = MODIFIED if is_write else EXCLUSIVE
-        if holders:
-            if is_write:
-                self._invalidate_peer_vaults(core, block)
-                # data supplied by the (former) owner before invalidation
-                supplier = holders[0][0]
-                lat += (self.mesh.latency(home, supplier)
+            holders = self.directory.holder_states(block)
+            state = MODIFIED if is_write else EXCLUSIVE
+            if holders:
+                if is_write:
+                    self._invalidate_peer_vaults(core, block)
+                    # data supplied by the (former) owner before
+                    # invalidation
+                    supplier = holders[0][0]
+                else:
+                    supplier, sup_state = max(
+                        holders, key=lambda cs: cs[1])  # M > O > E > S
+                    self._downgrade_supplier(supplier, block, sup_state)
+                    state = SHARED
+                lat += (mesh.latency(home, supplier)
                         + self.llc_latency
-                        + self.mesh.latency(supplier, core))
+                        + mesh.latency(supplier, core))
                 self.llc_accesses += 1
                 self.remote_forwards += 1
                 level = LEVEL_LLC_REMOTE
             else:
-                supplier, sup_state = max(
-                    holders, key=lambda cs: cs[1])  # prefer M > O > E > S
-                lat += (self.mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + self.mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                self._downgrade_supplier(supplier, block, sup_state)
-                new_state = SHARED
-                level = LEVEL_LLC_REMOTE
-        else:
-            port = self.mesh.nearest_memory_port(home)
-            lat += (self.mesh.latency(home, port)
-                    + self.memory.access(block, now)
-                    + self.mesh.latency(port, core))
-            level = LEVEL_MEMORY
-            if is_write and faults is not None and faults.has_offline:
-                # no holders, so _invalidate_peer_vaults did not run;
-                # directory-invisible offline copies still need killing
-                self._invalidate_offline_l1s(core, block)
+                port = mesh._nearest[home]
+                h2 = hops[home][port]
+                h3 = hops[port][core]
+                mesh.link_traversals += h2 + h3
+                mem = self.memory
+                mem.reads += 1
+                mlat = mem.latency
+                if mem.model_queueing:
+                    mlat += mem.controllers[
+                        (block >> 3) % mem.num_channels].access(block, now)
+                lat += h2 * hop_lat + mlat + h3 * hop_lat
+                level = LEVEL_MEMORY
+                if is_write and faults is not None and faults.has_offline:
+                    # no holders, so _invalidate_peer_vaults did not
+                    # run; directory-invisible offline copies still
+                    # need killing
+                    self._invalidate_offline_l1s(core, block)
 
+            if not offline:
+                # Vault fill; inclusion: the set's victim leaves L1/L2
+                # too, and dirty victims are written back to memory.
+                victim = vault.insert(block, state)
+                self.llc_accesses += 1  # the fill write
+                if self.missmaps is not None:
+                    mm = self.missmaps[core]
+                    mm.record_fill(block)
+                    if victim is not None:
+                        mm.record_eviction(victim[0])
+                if victim is not None:
+                    vb, vst = victim
+                    self.vault_evictions += 1
+                    if tracer is not None:
+                        tracer.emit(EV_EVICTION, self.now, core, vb,
+                                    "dirty" if is_dirty(vst) else "clean")
+                    l1st = self.l1d[core].invalidate(vb)
+                    self.l1i[core].invalidate(vb)
+                    if l2 is not None:
+                        l2.invalidate(vb)
+                    if (l1st is not None and is_dirty(l1st)) or is_dirty(vst):
+                        self.memory.access(vb, self.now, is_write=True)
+
+        # The shared tail: fill the private levels above the vault.
         if offline:
-            # No vault to fill: the line lives in L1/L2 only, kept
-            # Shared; stores write through so memory stays current.
-            self._fill_private_levels(core, block, is_write, is_data,
-                                      SHARED)
+            # Degraded mode: no dirty on-chip state, and stores write
+            # through so memory stays current.
+            state = SHARED
             if is_write:
                 self.memory.access(block, self.now, is_write=True)
                 faults.write_throughs += 1
-            return lat, level
-        self._fill_vault(core, block, new_state)
-        self._fill_private_levels(core, block, is_write, is_data,
-                                  new_state)
-        return lat, level
-
-    def _miss_private_plain(self, core, block, is_write, is_data, now):
-        """Flattened ``_miss_private`` for the common shape (no fault
-        injector, no L2, no tracer): identical operations in identical
-        order with the single-use helpers (``_fill_vault``,
-        ``_fill_private_levels``, ``_fill_l1_private``, the mesh/memory
-        frontends) inlined.  Keep the two bodies in lockstep --
-        ``test_observability_is_inert`` (tests/test_obs_inert.py) runs
-        both and compares every stat and latency percentile."""
-        vault = self.vaults[core]
-        s = block % vault.num_sets
-        if vault.tags[s] == block:
-            # Local vault hit: one TAD access resolves tag + data.
-            vst = vault.states[s]
-            self.llc_accesses += 1
-            if is_write and vst != MODIFIED:
-                if vst != EXCLUSIVE:
-                    self._invalidate_peer_vaults(core, block)
-                vault.update(block, MODIFIED)
-                vst = MODIFIED
-            if is_data:
-                victim = self.l1d[core].insert(
-                    block, MODIFIED if is_write else vst)
-                if victim is not None:
-                    vb, vstate = victim
-                    if is_dirty(vstate):
-                        self.l1_writebacks += 1
-                        if vault.tags[vb % vault.num_sets] == vb:
-                            self.llc_accesses += 1
-            return self.llc_latency, LEVEL_LLC_LOCAL
-
-        # Local vault miss.
-        if self.local_mp == "ideal":
-            probe_skipped = True
-        elif self.missmaps is not None:
-            probe_skipped = self.missmaps[core].predicts_miss(block)
-        else:
-            probe_skipped = False
-        if probe_skipped:
-            lat = 0
-        else:
-            lat = self.llc_latency
-            self.llc_accesses += 1  # the probe that discovered the miss
-        mesh = self.mesh
-        hops_tbl = mesh._hops
-        hop_lat = mesh.hop_latency
-        home = block % self.num_cores
-        h = hops_tbl[core][home]
-        mesh.link_traversals += h
-        lat += h * hop_lat
-        self.directory_lookups += 1
-        if self.dir_cache == "ideal":
-            pass  # metadata always in SRAM, zero cost
-        elif self.sram_dir_cache is not None:
-            dir_set = block % self.vaults[0].num_sets
-            if not self.sram_dir_cache.lookup(home, dir_set):
-                lat += self.dir_latency
-                self.llc_accesses += 1
-        else:
-            lat += self.dir_latency  # directory metadata is in DRAM
-            self.llc_accesses += 1
-
-        holders = self.directory.holder_states(block)
-        new_state = MODIFIED if is_write else EXCLUSIVE
-        if holders:
-            if is_write:
-                self._invalidate_peer_vaults(core, block)
-                # data supplied by the (former) owner before invalidation
-                supplier = holders[0][0]
-                lat += (mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                level = LEVEL_LLC_REMOTE
-            else:
-                supplier, sup_state = max(
-                    holders, key=lambda cs: cs[1])  # prefer M > O > E > S
-                lat += (mesh.latency(home, supplier)
-                        + self.llc_latency
-                        + mesh.latency(supplier, core))
-                self.llc_accesses += 1
-                self.remote_forwards += 1
-                self._downgrade_supplier(supplier, block, sup_state)
-                new_state = SHARED
-                level = LEVEL_LLC_REMOTE
-        else:
-            port = mesh._nearest[home]
-            h2 = hops_tbl[home][port]
-            h3 = hops_tbl[port][core]
-            mesh.link_traversals += h2 + h3
-            mem = self.memory
-            mem.reads += 1
-            mlat = mem.latency
-            if mem.model_queueing:
-                mlat += mem.controllers[
-                    (block >> 3) % mem.num_channels].access(block, now)
-            lat += h2 * hop_lat + mlat + h3 * hop_lat
-            level = LEVEL_MEMORY
-
-        # _fill_vault, inlined (tracer/missmap branches preserved).
-        victim = vault.insert(block, new_state)
-        self.llc_accesses += 1  # the fill write
-        if self.missmaps is not None:
-            mm = self.missmaps[core]
-            mm.record_fill(block)
-            if victim is not None:
-                mm.record_eviction(victim[0])
-        if victim is not None:
-            vb, vst2 = victim
-            self.vault_evictions += 1
-            l1st = self.l1d[core].invalidate(vb)
-            self.l1i[core].invalidate(vb)
-            if (l1st is not None and is_dirty(l1st)) or is_dirty(vst2):
-                self.memory.access(vb, self.now, is_write=True)
-        # _fill_private_levels -> _fill_l1_private, inlined (no L2).
+        if l2 is not None and level != LEVEL_L2:
+            l2victim = l2.insert(block, state)
+            if l2victim is not None:
+                vb = l2victim[0]
+                l1st = self.l1d[core].invalidate(vb)
+                self.l1i[core].invalidate(vb)
+                if (l1st is not None and is_dirty(l1st)
+                        and vault.tags[vb % num_sets] == vb):
+                    # dirty data returns to the (inclusive) vault
+                    vault.update(vb, MODIFIED)
+                    self.llc_accesses += 1
         if is_data:
             victim = self.l1d[core].insert(
-                block, MODIFIED if is_write else new_state)
-            if victim is not None:
-                vb2, vst3 = victim
-                if is_dirty(vst3):
-                    self.l1_writebacks += 1
-                    # Inclusive: the dirty data lands in the vault.
-                    if vault.tags[vb2 % vault.num_sets] == vb2:
-                        self.llc_accesses += 1
+                block, MODIFIED if is_write and not offline else state)
+            if victim is not None and is_dirty(victim[1]):
+                self.l1_writebacks += 1
+                # Inclusive hierarchy: the dirty data lands in the vault
+                # (or L2), which already tracks the block as M.
+                vb = victim[0]
+                if l2 is None and vault.tags[vb % num_sets] == vb:
+                    self.llc_accesses += 1
         return lat, level
 
     def _downgrade_supplier(self, supplier, block, sup_state):
@@ -971,66 +878,6 @@ class System:
             l2 = self.l2[supplier]
             if l2.contains(block):
                 l2.update(block, new)
-
-    def _fill_vault(self, core, block, state):
-        """Fill the core's direct-mapped vault, evicting the set's
-        current resident (inclusion: the victim leaves L1/L2 too; dirty
-        victims are written back to memory)."""
-        vault = self.vaults[core]
-        victim = vault.insert(block, state)
-        self.llc_accesses += 1  # the fill write
-        if self.missmaps is not None:
-            self.missmaps[core].record_fill(block)
-            if victim is not None:
-                self.missmaps[core].record_eviction(victim[0])
-        if victim is None:
-            return
-        vb, vst = victim
-        self.vault_evictions += 1
-        if self.tracer is not None:
-            self.tracer.emit(EV_EVICTION, self.now, core, vb,
-                             "dirty" if is_dirty(vst) else "clean")
-        l1st = self.l1d[core].invalidate(vb)
-        self.l1i[core].invalidate(vb)
-        if self.l2 is not None:
-            self.l2[core].invalidate(vb)
-        if (l1st is not None and is_dirty(l1st)) or is_dirty(vst):
-            self.memory.access(vb, self.now, is_write=True)
-
-    def _fill_private_levels(self, core, block, is_write, is_data, state):
-        """Fill L2 (if present) and L1 after a vault/remote/memory
-        response in SILO."""
-        if self.faults is not None and self.faults.offline[core]:
-            state = SHARED  # degraded mode: no dirty on-chip state
-        if self.l2 is not None:
-            l2victim = self.l2[core].insert(block, state)
-            if l2victim is not None:
-                vb, vst = l2victim
-                l1st = self.l1d[core].invalidate(vb)
-                self.l1i[core].invalidate(vb)
-                if l1st is not None and is_dirty(l1st):
-                    # dirty data returns to the (inclusive) vault
-                    if self.vaults[core].contains(vb):
-                        self.vaults[core].update(vb, MODIFIED)
-                        self.llc_accesses += 1
-        self._fill_l1_private(core, block, is_write, is_data, state)
-
-    def _fill_l1_private(self, core, block, is_write, is_data, state):
-        if not is_data:
-            return
-        if self.faults is not None and self.faults.offline[core]:
-            l1state = SHARED  # degraded mode: stores write through
-        else:
-            l1state = MODIFIED if is_write else state
-        victim = self.l1d[core].insert(block, l1state)
-        if victim is not None:
-            vb, vst = victim
-            if is_dirty(vst):
-                self.l1_writebacks += 1
-                # Inclusive hierarchy: the dirty data lands in the vault
-                # (or L2), which already tracks the block as M.
-                if self.l2 is None and self.vaults[core].contains(vb):
-                    self.llc_accesses += 1
 
     # ------------------------------------------------------------------
     # fault injection and recovery (repro.faults)

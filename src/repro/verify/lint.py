@@ -29,7 +29,7 @@ silolint encodes those contracts as ``ast``-level rules:
   float equality is either dead or flaky.
 * **SL007** -- per-event work in a hot-path function: a function
   marked with a ``# silolint: hotpath`` comment (the driver's event
-  loop, the fast-path kernel, ``System.access``) must not allocate
+  loop, ``System.access``) must not allocate
   containers (displays, comprehensions, ``list()``-family
   constructors) or re-traverse multi-step attribute chains
   (``self.a.b``) inside its loops -- those costs multiply by hundreds

@@ -112,6 +112,16 @@ def test_simulate_determinism():
     assert a.level_counts() == b.level_counts()
 
 
+def test_simulate_ignores_the_ambient_fault_plan():
+    """``simulate`` takes its ``faults`` argument as given: an ambient
+    plan from ``use_plan`` attaches no injector."""
+    from repro.faults.plan import FaultPlan, use_plan
+    cfg = HierarchyConfig(name="t", num_cores=4, scale=512)
+    with use_plan(FaultPlan(seed=1, data_flip_rate=0.5)):
+        result = simulate(cfg, WEB_SEARCH, SamplingPlan(200, 200), seed=5)
+    assert result.system.faults is None
+
+
 def test_sampling_presets():
     assert set(PRESETS) == {"quick", "standard", "full"}
     for p in PRESETS.values():

@@ -1,7 +1,8 @@
 """Run-engine guarantees: serial, parallel and cache-replayed grids
 produce bit-identical results; RunSummary round-trips losslessly; the
-drive-loop fast path matches the pre-optimization reference loop
-exactly; observation sessions still see what they need.
+drive loop over pre-decoded event lanes matches the per-event
+flag-decoding reference loop exactly; observation sessions still see
+what they need.
 """
 
 import json
@@ -263,7 +264,7 @@ def test_manifest_session_records_cached_runs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Drive-loop fast path: bit-identical to the reference loop
+# Drive loop over decoded lanes: bit-identical to the reference loop
 # ---------------------------------------------------------------------------
 
 

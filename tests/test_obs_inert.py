@@ -63,11 +63,9 @@ def test_observability_is_inert(kind, seed):
 
     # bit-identical: exact equality, no tolerance
     assert fingerprint(watched) == baseline
-    # A tracer routes SILO misses through the general
-    # ``System._miss_private`` body, while the plain run takes the
-    # flattened ``_miss_private_plain``: the full stats registry and
-    # the latency histograms pin the two bodies to each other.  (The
-    # tracer registers no stats group of its own.)
+    # The tracer's emit sites on the SILO miss path only read state:
+    # the full stats registry and the latency histograms match the
+    # untraced run.  (The tracer registers no stats group of its own.)
     assert watched.stats_snapshot() == plain.stats_snapshot()
     assert watched.latency_percentiles() == plain.latency_percentiles()
 

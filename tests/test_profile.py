@@ -108,6 +108,19 @@ def test_instrumented_run_has_subsystem_regions(kind):
     assert report["driven_events"] == result.driven_events()
 
 
+def test_engine_run_has_setup_region():
+    """CLI ``--profile`` runs go through the run engine, not
+    ``simulate``: building the system and traces still shows up as the
+    ``setup`` region."""
+    from repro.sim.engine import RunEngine, RunRequest
+    request = RunRequest.point(config(), WEB_SEARCH, PLAN, seed=3)
+    with observe(profile=True) as session:
+        RunEngine(jobs=1, cache=None).run([request])
+    paths = {r["path"] for r in session.profiler.report()["regions"]}
+    assert "setup" in paths
+    assert "warmup" in paths and "measure" in paths
+
+
 def test_report_covers_most_of_the_wall_clock():
     _result, profiler = profiled_run()
     report = profiler.report()

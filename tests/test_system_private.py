@@ -1,12 +1,20 @@
 """SILO (private vault) system: MOESI, vault inclusion, directory."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.coherence.states import (SHARED, EXCLUSIVE, OWNED, MODIFIED)
+from repro.core.systems import system_config
 from repro.cores.perf_model import (CoreParams, LEVEL_LLC_LOCAL,
                                     LEVEL_LLC_REMOTE, LEVEL_MEMORY)
+from repro.faults.plan import FaultPlan
 from repro.sim.config import HierarchyConfig
+from repro.sim.driver import simulate
+from repro.sim.sampling import SamplingPlan
 from repro.sim.system import System
+from repro.workloads.scaleout import DATA_SERVING
 
 
 def make_silo(cores=4, vault_blocks=256, local_mp=False, dir_cache=False,
@@ -162,3 +170,70 @@ def test_rw_shared_range_attribution():
     s.access(0, 100, False, False)
     s.access(0, 50, False, False)
     assert s.cores[0].rw_shared_count == 1
+
+
+# -- golden: the miss path over every SILO feature --------------------------
+
+GOLDEN_PLAN = SamplingPlan(2000, 1000)
+
+#: Flip, stall and directory faults, plus vault 1 (an offline core:
+#: write-through, bypassed vault) and vault 2 (an offline home node:
+#: broadcast snoop) going offline and back online inside the
+#: measurement window (ticks count accesses from the prewarm prefix on).
+GOLDEN_FAULTS = FaultPlan(
+    seed=3, data_flip_rate=0.02, tag_flip_rate=0.01,
+    directory_flip_rate=0.02, double_bit_fraction=0.5, stall_rate=0.05,
+    vault_events=((17000, 1, "offline"), (18500, 2, "offline"),
+                  (20000, 1, "online"), (21000, 2, "online")))
+
+#: case -> (system, config overrides, fault plan).
+GOLDEN_CASES = {
+    "silo": ("silo", {}, None),
+    "silo_faults": ("silo", {}, GOLDEN_FAULTS),
+    "3level_silo": ("3level_silo", {}, None),
+    "3level_silo_faults": ("3level_silo", {}, GOLDEN_FAULTS),
+    "silo_missmap": ("silo", {"local_miss_predictor": "missmap"}, None),
+    "silo_sram_dir": ("silo", {"directory_cache": "sram"}, None),
+    "silo_mesi": ("silo", {"protocol": "mesi"}, None),
+    "silo_prefetch_faults": ("silo", {"l1_prefetcher": True},
+                             GOLDEN_FAULTS),
+}
+
+#: sha256 of each case's stats snapshot plus latency percentiles.  A
+#: digest changes only when the simulated outcome changes.
+GOLDEN_DIGESTS = {
+    "silo":
+        "b2c0513b4e61ca16366627ff48dc19f2468463db7f77fb5d811aab9f48b20601",
+    "silo_faults":
+        "a171baf7706a3b4a429acadd6320e991dc2b6d5fdc43a3f58202226d177a2e1d",
+    "3level_silo":
+        "90dbd64feafd7262b89648f259b5f444ab2f39f0e2a96bad9003a3933f7dc9ee",
+    "3level_silo_faults":
+        "1355a10ec97e86c0500c718af90aa7cd9f3d715b6413bee0a234c1400cbaf209",
+    "silo_missmap":
+        "0b2023284c2906f512f006f36e44e325e472d8c9a9e8aa02ea0a62d6728fe964",
+    "silo_sram_dir":
+        "32b7ae7a3e345b47b136ee1ada534584b6275126bea701db4bd08c23dca2ed41",
+    "silo_mesi":
+        "0ecdb81125c31e2b9c3db7c30569652826053f48c47357c5269f3c4aff0312e5",
+    "silo_prefetch_faults":
+        "8c2deebe721119dc0b702b22579e5546b462d2296b71d5850d6d5da838c32153",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_miss_path_golden(case):
+    """``System._miss_private`` is the one body for every SILO feature:
+    pin each combination's full stats snapshot and latency percentiles
+    to a recorded digest."""
+    name, overrides, faults = GOLDEN_CASES[case]
+    config = system_config(name, num_cores=4, scale=256, **overrides)
+    result = simulate(config, DATA_SERVING, GOLDEN_PLAN, seed=5,
+                      faults=faults)
+    if faults is not None:
+        assert result.system.faults.write_throughs > 0
+        assert result.system.faults.broadcast_snoops > 0
+    doc = {"stats": result.stats_snapshot(),
+           "latency": result.latency_percentiles()}
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[case]
