@@ -23,7 +23,8 @@ def ablate_prefetcher(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
                       spec, plan, seed=seed)
         rows.append({
             "workload": wname,
-            "perf_ratio_on_vs_off": on.performance() / off.performance(),
+            "perf_ratio_on_vs_off": (on.summary.performance()
+                                     / off.summary.performance()),
             "prefetch_fills": on.system.prefetch_fills,
             "extra_llc_accesses": (on.system.llc_accesses
                                    - off.system.llc_accesses),

@@ -27,8 +27,8 @@ def ablate_protocol(plan=None, scale=DEFAULT_SCALE, seed=DEFAULT_SEED,
         moesi, mesi = results["moesi"], results["mesi"]
         rows.append({
             "workload": SCALEOUT_LABELS.get(wname, wname),
-            "mesi_vs_moesi_perf": (mesi.performance()
-                                   / moesi.performance()),
+            "mesi_vs_moesi_perf": (mesi.summary.performance()
+                                   / moesi.summary.performance()),
             "moesi_mem_writes": moesi.system.memory.writes,
             "mesi_mem_writes": mesi.system.memory.writes,
         })

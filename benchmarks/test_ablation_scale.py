@@ -23,9 +23,9 @@ def ablate_scale(plan=None, seed=DEFAULT_SEED,
         row = {"workload": wname}
         for scale in scales:
             base = simulate(baseline_config(scale=scale), spec, plan,
-                            seed=seed)
+                            seed=seed).summary
             silo = simulate(silo_config(scale=scale), spec, plan,
-                            seed=seed)
+                            seed=seed).summary
             row["speedup_scale%d" % scale] = (silo.performance()
                                               / base.performance())
         rows.append(row)

@@ -51,8 +51,9 @@ def _run_profile():
 
 
 def _fingerprint(result):
-    return (result.performance(), result.level_counts(),
-            result.stats_snapshot(), result.latency_percentiles())
+    summary = result.summary
+    return (summary.performance(), summary.level_counts(),
+            result.system.stats.snapshot(), summary.latency_percentiles())
 
 
 def test_telemetry_overhead(bench_extra, write_bench):
@@ -63,7 +64,7 @@ def test_telemetry_overhead(bench_extra, write_bench):
     for _ in range(REPS):            # interleaved: same machine state
         for name, fn in variants.items():
             result = fn()
-            eps[name].append(result.events_per_sec())
+            eps[name].append(result.summary.events_per_sec())
             results[name] = result
 
     baseline = _fingerprint(results["off"])

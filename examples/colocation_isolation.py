@@ -36,8 +36,9 @@ def web_search_ipc(system_name, colocated):
         traces, _ = generate_traces(
             WEB_SEARCH, num_cores=8, events_per_core=PLAN.total_events,
             scale=config.scale, core_ids=SERVICE_CORES)
-    run_system(system, traces, PLAN.warmup_events, PLAN.measure_events)
-    return sum(system.cores[c].ipc() for c in SERVICE_CORES)
+    result = run_system(system, traces, PLAN.warmup_events,
+                        PLAN.measure_events)
+    return result.summary.ipc_of(SERVICE_CORES)
 
 
 def main():

@@ -44,7 +44,7 @@ def main():
     for cap_mb in (8, 64, 256, 512):
         config = system_config("baseline",
                                llc_size_bytes=cap_mb * MB)
-        perf = simulate(config, KV_STORE, PLAN).performance()
+        perf = simulate(config, KV_STORE, PLAN).summary.performance()
         if base_perf is None:
             base_perf = perf
         print("  %4d MB shared LLC: %.3f (normalized)"
@@ -52,9 +52,9 @@ def main():
 
     print()
     print("== Evaluated systems ==")
-    base = simulate(system_config("baseline"), KV_STORE, PLAN)
+    base = simulate(system_config("baseline"), KV_STORE, PLAN).summary
     for name in ("baseline_dram", "vaults_sh", "silo"):
-        r = simulate(system_config(name), KV_STORE, PLAN)
+        r = simulate(system_config(name), KV_STORE, PLAN).summary
         local, remote, miss = r.llc_breakdown()
         total = local + remote + miss
         print("  %-14s speedup %.3f   (%.0f%% off-chip misses)"

@@ -23,12 +23,14 @@ def main():
     print("Simulating Web Search on SILO (256MB private vaults)...")
     silo = simulate(system_config("silo"), workload, plan)
 
-    speedup = silo.performance() / base.performance()
+    speedup = silo.summary.performance() / base.summary.performance()
     print()
     print("aggregate IPC: baseline %.2f   SILO %.2f   (speedup %.2fx)"
-          % (base.performance(), silo.performance(), speedup))
+          % (base.summary.performance(), silo.summary.performance(),
+             speedup))
 
-    for name, result in (("baseline", base), ("SILO", silo)):
+    for name, result in (("baseline", base.summary),
+                         ("SILO", silo.summary)):
         local, remote, miss = result.llc_breakdown()
         total = local + remote + miss
         print("%-9s LLC accesses: %5.1f%% local hits, %5.1f%% remote "

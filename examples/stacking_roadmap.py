@@ -48,7 +48,7 @@ def main():
     print()
     print("Web Search performance per stack generation "
           "(vs the 8MB shared-LLC baseline):")
-    base = simulate(baseline_config(), WEB_SEARCH, PLAN).performance()
+    base = simulate(baseline_config(), WEB_SEARCH, PLAN).summary.performance()
     for layers, point in chosen.items():
         from repro.params import ns_to_cycles, SILO_SERIALIZATION_LATENCY
         from repro.params import SILO_CONTROLLER_LATENCY
@@ -57,7 +57,7 @@ def main():
                         + SILO_CONTROLLER_LATENCY)
         config = silo_config(llc_size_bytes=point.vault_capacity_bytes,
                              llc_latency=total_cycles)
-        perf = simulate(config, WEB_SEARCH, PLAN).performance()
+        perf = simulate(config, WEB_SEARCH, PLAN).summary.performance()
         print("  %d layers (%4.0f MB/vault @ %d cycles): speedup %.3f"
               % (layers, point.vault_capacity_mb, total_cycles,
                  perf / base))

@@ -11,7 +11,8 @@ Quickstart::
                     SamplingPlan(30_000, 15_000))
     silo = simulate(system_config("silo"), scaleout_workload("web_search"),
                     SamplingPlan(30_000, 15_000))
-    print("SILO speedup:", silo.performance() / base.performance())
+    print("SILO speedup:",
+          silo.summary.performance() / base.summary.performance())
 """
 
 from repro.sim import (HierarchyConfig, System, RunResult, run_system,

@@ -20,7 +20,6 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import session as obs_session
 from repro.obs.telemetry import interval_from_env
 from repro.sim import engine as sim_engine
-from repro.sim.driver import DEFAULT_CHUNK, use_chunk
 from repro.sim.sampling import PRESETS, parse_plan
 
 
@@ -131,10 +130,6 @@ def main(argv=None):
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the run cache (every point "
                              "simulates)")
-    parser.add_argument("--chunk", type=int, default=None, metavar="N",
-                        help="core-interleave grain in events "
-                             "(default: $REPRO_CHUNK or %d)"
-                             % DEFAULT_CHUNK)
     args = parser.parse_args(argv)
     if args.trace < 0:
         parser.error("--trace must be positive")
@@ -144,8 +139,6 @@ def main(argv=None):
                        else interval_from_env())
     if args.jobs is not None and args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.chunk is not None and args.chunk < 1:
-        parser.error("--chunk must be >= 1")
     for flag, value in (("--faults", args.faults),
                         ("--fault-stalls", args.fault_stalls)):
         if value is not None and not 0.0 <= value <= 1.0:
@@ -233,8 +226,6 @@ def main(argv=None):
         plan_ctx = use_plan(fault_plan)
     else:
         plan_ctx = contextlib.nullcontext()
-    chunk_ctx = (use_chunk(args.chunk) if args.chunk is not None
-                 else contextlib.nullcontext())
 
     start = time.time()
     with obs_session.observe(trace_capacity=args.trace,
@@ -242,7 +233,7 @@ def main(argv=None):
                              collect_stats=args.stats,
                              telemetry_every=telemetry_every,
                              profile=args.profile) as session:
-        with sim_engine.use_engine(engine), plan_ctx, chunk_ctx:
+        with sim_engine.use_engine(engine), plan_ctx:
             if session.profiler is not None:
                 with session.profiler.region("experiment"):
                     rows = func(**kwargs)

@@ -5,9 +5,9 @@ reproducible after the fact: which code (git sha), which configuration
 (full :class:`HierarchyConfig`), which inputs (seed, scale, sampling
 plan), how the simulator behaved (warmup/measure wall clock,
 events/sec) and what it observed (per-level exposed-latency
-percentiles, optional full stats snapshot).
+percentiles).
 
-``RunResult.manifest()`` builds the per-run record;
+``RunSummary.manifest()`` (repro.sim.engine) builds the per-run record;
 :func:`write_manifest` serializes one (or an experiment-level envelope
 of many) next to the text tables in ``benchmarks/results`` or any
 directory the CLI's ``--manifest DIR`` names.
@@ -28,7 +28,10 @@ import subprocess
 #: snapshot gains ``flight_recorder`` (per-request spans + gauges).
 #: /4: run records drop the batch-kernel activity section: the drive
 #: loop has a single path through ``System.access``.
-MANIFEST_SCHEMA = "silo-repro-manifest/4"
+#: /5: every run record has the ``engine`` block, and a faulted run's
+#: ``faults`` block its plan, however the run executed; the optional
+#: ``stats`` section is gone (``result.system.stats.snapshot()``).
+MANIFEST_SCHEMA = "silo-repro-manifest/5"
 
 _SHA_CACHE = {}
 _PROTOCOL_CACHE = {}

@@ -1,10 +1,11 @@
 """Observation sessions: how CLI flags reach nested simulations.
 
-Experiment functions call :func:`repro.sim.driver.simulate` many levels
-below the CLI, so ``--stats/--trace/--manifest/--telemetry/--profile``
-cannot be threaded through their signatures without touching every
-experiment.  Instead the CLI opens an :class:`ObservationSession` (a
-context manager setting a module-level current session);
+Experiment functions call :func:`repro.sim.engine.run_grid` many
+levels below the CLI, so
+``--stats/--trace/--manifest/--telemetry/--profile`` cannot be
+threaded through their signatures without touching every experiment.
+Instead the CLI opens an :class:`ObservationSession` (a context
+manager setting a module-level current session);
 ``run_system`` consults it to attach a tracer, instrument the profiler
 and build a telemetry sampler before driving, and to deposit a per-run
 manifest record after.
@@ -75,17 +76,23 @@ class ObservationSession:
             from repro.obs.trace import EventTracer
             system.attach_tracer(EventTracer(self.trace_capacity))
 
-    def note_run(self, result, seed=None):
-        """Record one finished run (called by ``run_system``)."""
+    def note_run(self, result):
+        """Record one finished run (called by ``run_system``): the
+        summary's manifest plus the live extras (trace, telemetry)."""
         self.last_system = result.system
         self.last_tracer = result.system.tracer
         if result.telemetry is not None:
             self.telemetry.append(result.telemetry)
         if self.collect_manifests:
-            self.runs.append(result.manifest(seed=seed))
+            record = result.summary.manifest()
+            if self.last_tracer is not None:
+                record["trace"] = self.last_tracer.summary()
+            if result.telemetry is not None:
+                record["telemetry"] = result.telemetry.summary()
+            self.runs.append(record)
         if self._listeners:
-            self.emit("run", {"events": result.driven_events(),
-                              "performance": result.performance()})
+            self.emit("run", {"events": result.summary.driven_events(),
+                              "performance": result.summary.performance()})
 
     def note_summary(self, summary):
         """Record a run that finished without a live System in this

@@ -1,68 +1,26 @@
-"""Run driver: feeds per-core traces through a System and collects a
-:class:`RunResult`.
+"""Run driver: feeds per-core traces through a System and returns a
+:class:`RunResult` -- the live system plus the run's
+:class:`~repro.sim.engine.RunSummary`.
 
-Cores are interleaved in fixed-size chunks (coherence interactions
-between cores happen at chunk granularity, which is far finer than any
-reuse distance that matters here).  Each core keeps an approximate
-local clock -- base CPI plus its exposed stall cycles -- which also
-timestamps memory-controller bank occupancy.
+Cores are interleaved in slices of :data:`CHUNK` events (coherence
+interactions between cores happen at that granularity, which is far
+finer than any reuse distance that matters here).  Each core keeps an
+approximate local clock -- base CPI plus its exposed stall cycles --
+which also timestamps memory-controller bank occupancy.
 """
 
-import os
-from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.cores.perf_model import (
-    NUM_LEVELS, LEVEL_NAMES, LEVEL_LLC_LOCAL, LEVEL_LLC_REMOTE,
-    LEVEL_DRAM_CACHE, LEVEL_MEMORY)
-from repro.obs import manifest as _manifest
 from repro.obs import session as _obs_session
 from repro.obs.profile import clock
-from repro.obs.stats import Distribution
-from repro.sim.config import LLC_PRIVATE_VAULT
 from repro.sim.system import System
 
-DEFAULT_CHUNK = 200
-
-_chunk_override = None
-
-
-def default_chunk():
-    """Ambient core-interleave chunk: the :func:`use_chunk` override
-    when one is installed, else ``$REPRO_CHUNK``, else
-    ``DEFAULT_CHUNK``."""
-    if _chunk_override is not None:
-        return _chunk_override
-    raw = os.environ.get("REPRO_CHUNK", "").strip()
-    if raw:
-        try:
-            chunk = int(raw)
-        except ValueError:
-            raise ValueError("REPRO_CHUNK must be an integer, got %r"
-                             % raw) from None
-        if chunk < 1:
-            raise ValueError("REPRO_CHUNK must be >= 1, got %d" % chunk)
-        return chunk
-    return DEFAULT_CHUNK
-
-
-@contextmanager
-def use_chunk(chunk):
-    """Install ``chunk`` as the ambient interleave grain for the block
-    (the CLI wraps experiments in this for ``--chunk``)."""
-    chunk = int(chunk)
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    global _chunk_override
-    prev = _chunk_override
-    _chunk_override = chunk
-    try:
-        yield
-    finally:
-        _chunk_override = prev
+#: Core-interleave grain in events: a constant, so in no request key.
+CHUNK = 200
 
 
 class EventLanes:
@@ -160,164 +118,28 @@ def _drive(system, per_core, starts, ends, times, chunk, sampler=None):
 
 @dataclass
 class RunResult:
-    """Everything measured in one simulation run.
-
-    ``performance`` is the paper's metric: aggregate application
-    instructions per cycle (the sum of per-core IPCs).  The re-scaling
-    helpers re-evaluate performance under modified latencies without
-    re-simulating (used by Fig. 2 and Fig. 4).
-    """
+    """One finished run: the live ``System``, its
+    :class:`~repro.sim.engine.RunSummary` (every metric and the
+    manifest) and the measure-phase telemetry sampler (or None)."""
 
     system: System
-    measure_events: int
-    core_ids: List[int] = field(default_factory=list)
-    # Self-profiling throughput meter: wall-clock seconds spent driving
-    # each phase (simulator time, not simulated time).
-    warmup_wall_s: float = 0.0
-    measure_wall_s: float = 0.0
-    warmup_events: int = 0
-    #: TelemetrySampler covering the measure phase, when the session
-    #: asked for windowed telemetry (None otherwise).
+    summary: object
     telemetry: Optional[object] = None
 
-    # -- performance -------------------------------------------------------
 
-    def per_core_ipc(self, level_scale=None, rw_shared_extra_factor=0.0):
-        """IPC of each driven core, optionally under re-scaled
-        latencies (see CoreModel.stall_cycles)."""
-        return [self.system.cores[c].ipc(level_scale,
-                                         rw_shared_extra_factor)
-                for c in self.core_ids]
-
-    def performance(self, level_scale=None, rw_shared_extra_factor=0.0):
-        """Aggregate application instructions per cycle: the sum of
-        per-core IPCs (the paper's throughput metric, Sec. VI-C)."""
-        return sum(self.per_core_ipc(level_scale, rw_shared_extra_factor))
-
-    def performance_with_llc_scale(self, factor):
-        """Performance with every LLC access (local and remote) taking
-        ``factor`` times its measured latency (Fig. 2 sweeps)."""
-        scale = [1.0] * NUM_LEVELS
-        scale[LEVEL_LLC_LOCAL] = factor
-        scale[LEVEL_LLC_REMOTE] = factor
-        return self.performance(level_scale=scale)
-
-    def performance_with_rw_multiplier(self, multiplier):
-        """Performance with RW-shared block accesses taking
-        ``multiplier`` times their latency (Fig. 4)."""
-        return self.performance(rw_shared_extra_factor=multiplier - 1.0)
-
-    # -- memory system statistics ------------------------------------------
-
-    def _sum_counts(self, attr):
-        totals = [0] * NUM_LEVELS
-        for c in self.core_ids:
-            counts = getattr(self.system.cores[c], attr)
-            for lvl in range(NUM_LEVELS):
-                totals[lvl] += counts[lvl]
-        return totals
-
-    def level_counts(self):
-        """Accesses satisfied at each level (ifetch + data)."""
-        d = self._sum_counts("data_count")
-        i = self._sum_counts("ifetch_count")
-        return [d[lvl] + i[lvl] for lvl in range(NUM_LEVELS)]
-
-    def instructions(self):
-        """Instructions retired across the driven cores."""
-        return sum(self.system.cores[c].instructions for c in self.core_ids)
-
-    def llc_breakdown(self):
-        """Fig. 11: (local hits, remote hits, off-chip misses) among
-        accesses that reached the LLC level."""
-        counts = self.level_counts()
-        local = counts[LEVEL_LLC_LOCAL]
-        remote = counts[LEVEL_LLC_REMOTE]
-        miss = counts[LEVEL_DRAM_CACHE] + counts[LEVEL_MEMORY]
-        return local, remote, miss
-
-    def llc_mpki(self):
-        """Off-chip misses per kilo-instruction."""
-        instrs = self.instructions()
-        if instrs == 0:
-            return 0.0
-        _, _, miss = self.llc_breakdown()
-        return 1000.0 * miss / instrs
-
-    # -- observability -----------------------------------------------------
-
-    def driven_events(self):
-        """References driven through the system during measurement."""
-        return self.measure_events * len(self.core_ids)
-
-    def events_per_sec(self):
-        """Simulator throughput during the measurement phase."""
-        if self.measure_wall_s <= 0:
-            return 0.0
-        return self.driven_events() / self.measure_wall_s
-
-    def latency_percentiles(self):
-        """Per-level exposed-latency percentiles over the driven cores
-        (merged histograms; levels with no samples are omitted)."""
-        out = {}
-        for lvl, name in enumerate(LEVEL_NAMES):
-            merged = Distribution("latency", desc=name)
-            for c in self.core_ids:
-                merged.merge(self.system.cores[c].latency_hist[lvl])
-            if merged.count:
-                out[name] = merged.value()
-        return out
-
-    def stats_snapshot(self):
-        """The system's full stats registry as nested dicts."""
-        return self.system.stats.snapshot()
-
-    def manifest(self, seed=None, include_stats=False):
-        """Run-provenance record: config, inputs, wall clock,
-        throughput and latency percentiles (see repro.obs.manifest)."""
-        sys_ = self.system
-        data = {
-            "schema": _manifest.MANIFEST_SCHEMA,
-            "git_sha": _manifest.git_sha(),
-            "config": asdict(sys_.config),
-            "scale": sys_.config.scale,
-            "seed": seed,
-            "sampling": {"warmup_events": self.warmup_events,
-                         "measure_events": self.measure_events},
-            "wall_clock": {"warmup_s": self.warmup_wall_s,
-                           "measure_s": self.measure_wall_s},
-            "throughput": {"driven_events": self.driven_events(),
-                           "events_per_sec": self.events_per_sec()},
-            "performance": self.performance(),
-            "latency_percentiles": self.latency_percentiles(),
-        }
-        if sys_.config.llc_kind == LLC_PRIVATE_VAULT:
-            data["protocol_provenance"] = _manifest.protocol_provenance()
-        if sys_.tracer is not None:
-            data["trace"] = sys_.tracer.summary()
-        if sys_.faults is not None:
-            data["faults"] = sys_.faults.describe()
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry.summary()
-        if include_stats:
-            data["stats"] = self.stats_snapshot()
-        return data
-
-
-def run_system(system, traces, warmup_events, measure_events,
-               chunk=None, seed=None):
+def run_system(system, traces, warmup_events, measure_events, seed=None,
+               request_key=""):
     """Warm up (prewarm prefix + ``warmup_events``), reset statistics,
-    measure ``measure_events`` per core; returns a RunResult.
+    measure ``measure_events`` per core; returns a RunResult whose
+    summary is stamped with ``seed`` and ``request_key``.
 
-    ``chunk`` is the core-interleave grain; None resolves the ambient
-    default (:func:`default_chunk`).  Both phases are wall-clock timed
-    (the simulator's self-profiling throughput meter).  If an
-    observation session is open (CLI ``--stats/--trace/--manifest``),
-    a tracer is attached before driving and a provenance record is
-    deposited after.
+    Both phases are wall-clock timed (the simulator's self-profiling
+    throughput meter).  If an observation session is open (CLI
+    ``--stats/--trace/--manifest``), a tracer is attached before
+    driving and a provenance record is deposited after.
     """
-    if chunk is None:
-        chunk = default_chunk()
+    from repro.sim.engine import summarize
+
     warm_ends = []
     for tr in traces:
         end = tr.prewarm_events + warmup_events
@@ -349,7 +171,7 @@ def run_system(system, traces, warmup_events, measure_events,
     with (profiler.region("warmup") if profiler is not None
           else nullcontext()):
         _drive(system, per_core, [0] * len(traces), warm_ends, times,
-               chunk)
+               CHUNK)
     t1 = clock()
     system.reset_stats()
     system.measuring = True
@@ -358,7 +180,7 @@ def run_system(system, traces, warmup_events, measure_events,
     with (profiler.region("measure") if profiler is not None
           else nullcontext()):
         _drive(system, per_core, warm_ends,
-               [e + measure_events for e in warm_ends], times, chunk,
+               [e + measure_events for e in warm_ends], times, CHUNK,
                sampler)
     t2 = clock()
     if sampler is not None:
@@ -366,19 +188,18 @@ def run_system(system, traces, warmup_events, measure_events,
     for tr in traces:
         system.cores[tr.core_id].retire(
             int(measure_events * tr.instr_per_event))
-    result = RunResult(system=system, measure_events=measure_events,
-                       core_ids=[tr.core_id for tr in traces],
-                       warmup_wall_s=t1 - t0, measure_wall_s=t2 - t1,
-                       warmup_events=warmup_events, telemetry=sampler)
+    summary = summarize(system, [tr.core_id for tr in traces],
+                        warmup_events, measure_events, t1 - t0, t2 - t1,
+                        seed=seed, request_key=request_key)
+    result = RunResult(system=system, summary=summary, telemetry=sampler)
     if profiler is not None:
-        profiler.add_events(result.driven_events())
+        profiler.add_events(summary.driven_events())
     if session is not None:
-        session.note_run(result, seed=seed)
+        session.note_run(result)
     return result
 
 
-def simulate(config, spec, plan, seed=0, track_sharing=False, chunk=None,
-             faults=None):
+def simulate(config, spec, plan, seed=0, track_sharing=False, faults=None):
     """Convenience wrapper: run ``spec`` on every core of ``config``
     through :func:`repro.sim.engine.execute_request` and return the
     RunResult.  ``faults`` is an optional
@@ -387,10 +208,8 @@ def simulate(config, spec, plan, seed=0, track_sharing=False, chunk=None,
     attach nothing (bit-identical to fault-free)."""
     from repro.sim.engine import RunRequest, execute_request
 
-    if chunk is None:
-        chunk = default_chunk()
     return execute_request(RunRequest(
         config=config,
         placements=((spec, tuple(range(config.num_cores))),),
-        plan=plan, seed=seed, track_sharing=track_sharing, chunk=chunk,
+        plan=plan, seed=seed, track_sharing=track_sharing,
         faults=faults))

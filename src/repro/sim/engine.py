@@ -16,13 +16,13 @@ engine exploits exactly that:
   own source (per-file content digests), so results survive across
   figures, sessions and docs-only commits but never across code
   changes;
-* a :class:`RunSummary` is the picklable, JSON-able result of one
-  point -- per-core per-level latency sums and counts, latency
+* a :class:`RunSummary` is the one result type of a point, live or
+  replayed: per-core per-level latency sums and counts, latency
   histograms, retired instructions, RW-shared splits, system counters,
-  the energy breakdown -- rich enough that every re-evaluation helper
-  of :class:`~repro.sim.driver.RunResult` (``performance`` under level
-  scaling, RW-shared multipliers, ...) re-runs from the summary without
-  re-simulating.
+  the energy breakdown, the fault plan.  It is plain picklable,
+  JSON-able data, and every metric (``performance`` under level
+  scaling, RW-shared multipliers, ...) and the provenance manifest are
+  computed from it, never from the live ``System``.
 
 Experiment modules declare their grids and call :func:`run_grid`; the
 CLI installs a configured engine with :func:`use_engine`.  When no
@@ -34,9 +34,9 @@ Observation sessions interact with the engine as follows: a session
 that collects stats or traces needs live ``System`` objects, so the
 engine bypasses the cache and the process pool and simulates in-process
 (results are bit-identical either way; sessions stay inert).  A session
-that only collects manifests works in every mode -- points executed
-in-process are recorded by ``run_system`` as before, while cached and
-worker-executed points are recorded from their summaries.
+that only collects manifests works in every mode and records the same
+manifest whichever way a point ran -- in-process (``run_system`` adds
+the live trace/telemetry extras), in a pool worker or from the cache.
 """
 
 import functools
@@ -44,8 +44,9 @@ import hashlib
 import json
 import os
 import pickle
+import re
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Tuple
 
 from repro.cores.perf_model import (
@@ -58,7 +59,7 @@ from repro.obs.profile import clock
 from repro.obs.recorder import FlightRecorder
 from repro.obs.stats import Distribution, Group
 from repro.sim.config import HierarchyConfig, LLC_PRIVATE_VAULT
-from repro.sim.driver import DEFAULT_CHUNK, default_chunk, run_system
+from repro.sim.driver import run_system
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.base import WorkloadSpec
 
@@ -76,7 +77,10 @@ from repro.workloads.base import WorkloadSpec
 #: /5: requests drop the /3 execution-path flag (the drive loop has a
 #: single path) and the code fingerprint no longer mixes in the git
 #: sha, only per-file contents.
-ENGINE_SCHEMA = "silo-repro-runsummary/5"
+#: /6: requests drop the core-interleave grain (a fixed constant,
+#: repro.sim.driver.CHUNK), summaries keep the fault plan, and the
+#: code fingerprint covers only the modules the engine imports.
+ENGINE_SCHEMA = "silo-repro-runsummary/6"
 
 #: Execution modes a RunRequest may carry ("auto" is an engine-level
 #: triage policy, never a request mode: triage resolves each point to
@@ -117,7 +121,6 @@ class RunRequest:
     seed: int
     colocated: bool = False
     track_sharing: bool = False
-    chunk: int = DEFAULT_CHUNK
     #: Optional fault plan (repro.faults); None means fault-free and
     #: keys differently from any active plan.
     faults: Optional[FaultPlan] = None
@@ -128,28 +131,22 @@ class RunRequest:
 
     @classmethod
     def point(cls, config, spec, plan, seed, core_ids=None,
-              track_sharing=False, chunk=None, faults=None,
-              mode="simulate"):
+              track_sharing=False, faults=None, mode="simulate"):
         """A homogeneous point: ``spec`` on all cores (or ``core_ids``),
         exactly like :func:`repro.sim.driver.simulate`.  ``faults``
         defaults to the ambient plan installed by
-        :func:`repro.faults.use_plan` (None when none is installed);
-        ``chunk`` defaults to the ambient interleave grain
-        (:func:`repro.sim.driver.use_chunk`)."""
+        :func:`repro.faults.use_plan` (None when none is installed)."""
         if core_ids is None:
             core_ids = tuple(range(config.num_cores))
         if faults is None:
             faults = current_plan()
-        if chunk is None:
-            chunk = default_chunk()
         return cls(config=config, placements=((spec, tuple(core_ids)),),
                    plan=plan, seed=seed, colocated=False,
-                   track_sharing=track_sharing, chunk=chunk,
-                   faults=faults, mode=mode)
+                   track_sharing=track_sharing, faults=faults, mode=mode)
 
     @classmethod
-    def colocation(cls, config, assignments, plan, seed,
-                   chunk=None, faults=None, mode="simulate"):
+    def colocation(cls, config, assignments, plan, seed, faults=None,
+                   mode="simulate"):
         """A heterogeneous point: ``assignments`` is a list of
         ``(spec, core_ids)`` pairs with disjoint core sets, exactly like
         :func:`repro.workloads.colocation.generate_colocation_traces`."""
@@ -157,11 +154,9 @@ class RunRequest:
                            for spec, ids in assignments)
         if faults is None:
             faults = current_plan()
-        if chunk is None:
-            chunk = default_chunk()
         return cls(config=config, placements=placements, plan=plan,
                    seed=seed, colocated=True, track_sharing=False,
-                   chunk=chunk, faults=faults, mode=mode)
+                   faults=faults, mode=mode)
 
     def canonical(self):
         """JSON-native dict that fully determines the simulation."""
@@ -174,7 +169,6 @@ class RunRequest:
             "seed": self.seed,
             "colocated": self.colocated,
             "track_sharing": self.track_sharing,
-            "chunk": self.chunk,
             "faults": (None if self.faults is None
                        else self.faults.canonical()),
             "mode": self.mode,
@@ -190,11 +184,17 @@ class RunRequest:
         ``RunRequest.from_canonical(r.canonical()).key(f) == r.key(f)``
         for every fingerprint ``f`` (the round-trip property the serve
         tests pin).  Validation is the dataclasses' own
-        ``__post_init__`` checks; malformed payloads raise
+        ``__post_init__`` checks; unknown top-level keys (fields this
+        version would silently ignore) and malformed payloads raise
         ``ValueError``/``TypeError``/``KeyError`` for the server to
         turn into a 400.
         """
         from repro.workloads.base import CodeSpec, RegionSpec
+
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("unknown request field(s): %s"
+                             % ", ".join(unknown))
 
         def spec_from(d):
             return WorkloadSpec(
@@ -219,7 +219,6 @@ class RunRequest:
             seed=data["seed"],
             colocated=data.get("colocated", False),
             track_sharing=data.get("track_sharing", False),
-            chunk=data.get("chunk", DEFAULT_CHUNK),
             faults=faults,
             mode=data.get("mode", "simulate"))
 
@@ -231,37 +230,77 @@ class RunRequest:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def fingerprint_files():
-    """Package-relative paths of every source file the code
-    fingerprint covers: all ``.py`` files under the ``repro`` package,
-    in deterministic order.  The walk picks up new subpackages
-    automatically -- ``repro/faults`` must appear here so cached
-    fault-free summaries miss cleanly when the fault model changes."""
+#: ``from repro.x import a, (b, c)`` and ``import repro.x`` statements
+#: anywhere in a file, matched from the preceding newline (a literal
+#: first character lets ``re`` skip ahead quickly).
+_IMPORT_RE = re.compile(
+    r"\n[ \t]*(?:from[ \t]+(repro[\w.]*)[ \t]+import[ \t]+"
+    r"(\([^)]*\)|[^\n]*)|import[ \t]+(repro[\w.]*))")
+_IMPORTED_NAME_RE = re.compile(r"(\w+)(?:[ \t]+as[ \t]+\w+)?")
+
+
+def _imported_modules(source):
+    """Candidate ``repro`` module names ``source`` imports: every
+    ``from`` target, plus ``target.name`` for each name it imports
+    (a submodule when such a file exists)."""
+    for m in _IMPORT_RE.finditer("\n" + source):
+        if m.group(3):
+            yield m.group(3)
+            continue
+        yield m.group(1)
+        names = re.sub(r"#[^\n]*", "", m.group(2))
+        for name in _IMPORTED_NAME_RE.findall(names):
+            yield m.group(1) + "." + name
+
+
+def _import_closure():
+    """``{package-relative path: source bytes}`` of every ``repro``
+    module reachable from ``repro.sim.engine`` through import
+    statements, each module's enclosing packages included (their
+    ``__init__`` runs on import)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if name.endswith(".py"):
-                path = os.path.join(dirpath, name)
-                out.append(os.path.relpath(path, root))
-    return out
+    top = os.path.dirname(root)
+    seen = set()
+    found = {}
+    todo = ["repro.sim.engine"]
+    while todo:
+        parts = todo.pop().split(".")
+        for i in range(1, len(parts) + 1):
+            name = ".".join(parts[:i])
+            if name in seen:
+                continue
+            seen.add(name)
+            base = os.path.join(top, *parts[:i])
+            path = (os.path.join(base, "__init__.py")
+                    if os.path.isdir(base) else base + ".py")
+            if not os.path.isfile(path):
+                break
+            with open(path, "rb") as f:
+                data = f.read()
+            found[os.path.relpath(path, root)] = data
+            todo.extend(_imported_modules(data.decode("utf-8")))
+    return found
+
+
+def fingerprint_files():
+    """Sorted package-relative paths the code fingerprint covers: the
+    code that can change a result (:func:`_import_closure`).  Editing
+    a module outside it (the experiment CLI and figures, the serve
+    client and worker) keeps every cached run."""
+    return sorted(_import_closure())
 
 
 @functools.lru_cache(maxsize=1)
 def code_fingerprint():
-    """Digest of the simulator's own source: a sha256 over every
-    ``repro`` package file's path and contents (the
-    :func:`fingerprint_files` set).  It depends on the inputs, not on
-    the commit: dirty working trees miss cleanly, and a commit that
-    touches no package file (docs, benchmarks) keeps every cached run.
-    The git sha stays in manifests and summaries as provenance."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    """sha256 over the path and contents of every
+    :func:`fingerprint_files` file.  It depends on the inputs, not on
+    the commit: dirty working trees miss cleanly, and commits that
+    touch no fingerprinted file keep every cached run.  The git sha
+    stays in manifests and summaries as provenance."""
     h = hashlib.sha256()
-    for rel in fingerprint_files():
+    for rel, data in sorted(_import_closure().items()):
         h.update(rel.encode("utf-8"))
-        with open(os.path.join(root, rel), "rb") as f:
-            h.update(hashlib.sha256(f.read()).digest())
+        h.update(hashlib.sha256(data).digest())
     return h.hexdigest()
 
 
@@ -273,9 +312,9 @@ def code_fingerprint():
 @dataclass
 class CoreSummary:
     """One driven core's measurement window, detached from the live
-    CoreModel.  The evaluation methods replicate CoreModel's arithmetic
-    operation-for-operation so re-evaluated metrics are bit-identical
-    to the live object's."""
+    :class:`~repro.cores.perf_model.CoreModel`: the raw per-level
+    latency sums and counts the interval model re-evaluates (under
+    scaled latencies for Figs. 2 and 4) without re-simulating."""
 
     core_id: int
     instructions: int
@@ -292,7 +331,35 @@ class CoreSummary:
     #: "min", "max"} -- a Distribution's full state.
     latency_hist: List[dict] = field(default_factory=list)
 
+    @classmethod
+    def of(cls, core):
+        """Snapshot a live CoreModel."""
+        p = core.params
+        return cls(
+            core_id=core.core_id,
+            instructions=core.instructions,
+            base_cpi=p.base_cpi,
+            mlp=p.mlp,
+            ifetch_stall_factor=p.ifetch_stall_factor,
+            data_latency=list(core.data_latency),
+            data_count=list(core.data_count),
+            ifetch_latency=list(core.ifetch_latency),
+            ifetch_count=list(core.ifetch_count),
+            rw_shared_latency=core.rw_shared_latency,
+            rw_shared_count=core.rw_shared_count,
+            latency_hist=[_hist_state(h) for h in core.latency_hist],
+        )
+
     def stall_cycles(self, level_scale=None, rw_shared_extra_factor=0.0):
+        """Total stall cycles.
+
+        ``level_scale`` optionally multiplies the recorded latency of
+        each service level (a 6-element sequence), which re-evaluates
+        the run under different LLC/memory latencies.
+        ``rw_shared_extra_factor`` adds that multiple of the RW-shared
+        latency sum on top (e.g. 1.0 doubles RW-shared block latency,
+        3.0 quadruples it -- Fig. 4).
+        """
         data = 0.0
         ifetch = 0.0
         if level_scale is None:
@@ -321,8 +388,8 @@ def _hist_state(dist):
             "min": dist.min, "max": dist.max}
 
 
-def _hist_restore(state, name="latency", desc=""):
-    dist = Distribution(name, desc=desc, max_bucket=state["max_bucket"])
+def _hist_restore(state):
+    dist = Distribution("latency", max_bucket=state["max_bucket"])
     dist.buckets = list(state["buckets"])
     dist.count = state["count"]
     dist.total = state["total"]
@@ -336,9 +403,11 @@ class RunSummary:
     """Everything an experiment can ask of a finished point, in plain
     picklable/JSON-able data (no live System attached).
 
-    Mirrors :class:`~repro.sim.driver.RunResult`'s evaluation API;
-    values are bit-identical to the live object's because the same
-    sums feed the same arithmetic.
+    The one result type: ``run_system`` builds it, pool workers return
+    it and the run cache stores it, so metrics and manifest are the
+    same however a point ran.  ``performance`` is the paper's metric
+    (the sum of per-core IPCs, Sec. VI-C); the re-scaling helpers
+    re-evaluate it under modified latencies (Figs. 2 and 4).
     """
 
     schema: str
@@ -361,24 +430,35 @@ class RunSummary:
     #: How the summary was produced: "simulate" here; the analytic
     #: backend's EstimateSummary subclass carries "estimate".
     mode: str = "simulate"
+    #: Canonical form of the attached fault plan
+    #: (:meth:`repro.faults.FaultPlan.canonical`), None when fault-free.
+    faults: Optional[dict] = None
 
-    # -- performance (RunResult mirror) --------------------------------
+    # -- performance -----------------------------------------------------
 
     def per_core_ipc(self, level_scale=None, rw_shared_extra_factor=0.0):
+        """IPC of each driven core, optionally under re-scaled
+        latencies (see :meth:`CoreSummary.stall_cycles`)."""
         return [c.ipc(level_scale, rw_shared_extra_factor)
                 for c in self.cores]
 
     def performance(self, level_scale=None, rw_shared_extra_factor=0.0):
+        """Aggregate application instructions per cycle: the sum of
+        per-core IPCs."""
         return sum(self.per_core_ipc(level_scale,
                                      rw_shared_extra_factor))
 
     def performance_with_llc_scale(self, factor):
+        """Performance with every LLC access (local and remote) taking
+        ``factor`` times its measured latency (Fig. 2 sweeps)."""
         scale = [1.0] * NUM_LEVELS
         scale[LEVEL_LLC_LOCAL] = factor
         scale[LEVEL_LLC_REMOTE] = factor
         return self.performance(level_scale=scale)
 
     def performance_with_rw_multiplier(self, multiplier):
+        """Performance with RW-shared block accesses taking
+        ``multiplier`` times their latency (Fig. 4)."""
         return self.performance(rw_shared_extra_factor=multiplier - 1.0)
 
     def ipc_of(self, core_ids):
@@ -388,23 +468,19 @@ class RunSummary:
 
     # -- memory system statistics --------------------------------------
 
-    def _sum_counts(self, attr):
-        totals = [0] * NUM_LEVELS
-        for c in self.cores:
-            counts = getattr(c, attr)
-            for lvl in range(NUM_LEVELS):
-                totals[lvl] += counts[lvl]
-        return totals
-
     def level_counts(self):
-        d = self._sum_counts("data_count")
-        i = self._sum_counts("ifetch_count")
-        return [d[lvl] + i[lvl] for lvl in range(NUM_LEVELS)]
+        """Accesses satisfied at each level (ifetch + data)."""
+        return [sum(c.data_count[lvl] + c.ifetch_count[lvl]
+                    for c in self.cores)
+                for lvl in range(NUM_LEVELS)]
 
     def instructions(self):
+        """Instructions retired across the driven cores."""
         return sum(c.instructions for c in self.cores)
 
     def llc_breakdown(self):
+        """Fig. 11: (local hits, remote hits, off-chip misses) among
+        accesses that reached the LLC level."""
         counts = self.level_counts()
         local = counts[LEVEL_LLC_LOCAL]
         remote = counts[LEVEL_LLC_REMOTE]
@@ -412,6 +488,7 @@ class RunSummary:
         return local, remote, miss
 
     def llc_mpki(self):
+        """Off-chip misses per kilo-instruction."""
         instrs = self.instructions()
         if instrs == 0:
             return 0.0
@@ -433,14 +510,18 @@ class RunSummary:
     # -- observability -------------------------------------------------
 
     def driven_events(self):
+        """References driven through the system during measurement."""
         return self.measure_events * len(self.core_ids)
 
     def events_per_sec(self):
+        """Simulator throughput during the measurement phase."""
         if self.measure_wall_s <= 0:
             return 0.0
         return self.driven_events() / self.measure_wall_s
 
     def latency_percentiles(self):
+        """Per-level exposed-latency percentiles over the driven cores
+        (merged histograms; levels with no samples are omitted)."""
         out = {}
         for lvl, name in enumerate(LEVEL_NAMES):
             merged = Distribution("latency", desc=name)
@@ -451,8 +532,10 @@ class RunSummary:
         return out
 
     def manifest(self):
-        """Provenance record comparable to ``RunResult.manifest()``
-        (without live-System extras like the stats snapshot)."""
+        """Run-provenance record: config, inputs, wall clock,
+        throughput, latency percentiles and the engine key (see
+        repro.obs.manifest).  The observation session adds the live
+        extras (trace, telemetry) for runs it watched in-process."""
         data = {
             "schema": _manifest.MANIFEST_SCHEMA,
             "git_sha": _manifest.git_sha(),
@@ -472,8 +555,9 @@ class RunSummary:
         }
         if self.config.get("llc_kind") == LLC_PRIVATE_VAULT:
             data["protocol_provenance"] = _manifest.protocol_provenance()
-        if "faults" in self.counters:
-            data["faults"] = {"counters": dict(self.counters["faults"])}
+        if self.faults is not None:
+            data["faults"] = {"plan": self.faults,
+                              "counters": dict(self.counters["faults"])}
         return data
 
     # -- serialization -------------------------------------------------
@@ -491,72 +575,49 @@ class RunSummary:
         return cls(**data)
 
 
-def summarize(result, request_key=""):
-    """Build a :class:`RunSummary` from a live RunResult."""
+def summarize(system, core_ids, warmup_events, measure_events,
+              warmup_wall_s, measure_wall_s, seed=None, request_key=""):
+    """Build the :class:`RunSummary` of a finished run of ``system``
+    (called by :func:`repro.sim.driver.run_system`)."""
     from repro.energy.model import EnergyModel
 
-    sys_ = result.system
-    cores = []
-    for c in result.core_ids:
-        core = sys_.cores[c]
-        p = core.params
-        cores.append(CoreSummary(
-            core_id=c,
-            instructions=core.instructions,
-            base_cpi=p.base_cpi,
-            mlp=p.mlp,
-            ifetch_stall_factor=p.ifetch_stall_factor,
-            data_latency=list(core.data_latency),
-            data_count=list(core.data_count),
-            ifetch_latency=list(core.ifetch_latency),
-            ifetch_count=list(core.ifetch_count),
-            rw_shared_latency=core.rw_shared_latency,
-            rw_shared_count=core.rw_shared_count,
-            latency_hist=[_hist_state(h) for h in core.latency_hist],
-        ))
-    counters = {
-        "llc_accesses": sys_.llc_accesses,
-        "dram_cache_accesses": sys_.dram_cache_accesses,
-        "invalidations": sys_.invalidations,
-        "l1_writebacks": sys_.l1_writebacks,
-        "llc_writebacks": sys_.llc_writebacks,
-        "vault_evictions": sys_.vault_evictions,
-        "directory_lookups": sys_.directory_lookups,
-        "remote_forwards": sys_.remote_forwards,
-        "replica_hits": sys_.replica_hits,
-        "prefetch_fills": sys_.prefetch_fills,
-        "link_traversals": sys_.mesh.link_traversals,
-        "memory_accesses": sys_.memory.accesses,
-        "memory_reads": sys_.memory.reads,
-        "memory_writes": sys_.memory.writes,
-    }
-    if sys_.faults is not None:
+    counters = {name: getattr(system, name) for name in (
+        "llc_accesses", "dram_cache_accesses", "invalidations",
+        "l1_writebacks", "llc_writebacks", "vault_evictions",
+        "directory_lookups", "remote_forwards", "replica_hits",
+        "prefetch_fills")}
+    counters.update({
+        "link_traversals": system.mesh.link_traversals,
+        "memory_accesses": system.memory.accesses,
+        "memory_reads": system.memory.reads,
+        "memory_writes": system.memory.writes,
+    })
+    faults = None
+    if system.faults is not None:
         # Present only for faulted runs: fault-free summaries keep
         # their pre-faults shape byte-for-byte.
-        counters["faults"] = sys_.faults.counters_dict()
-    sharing = sys_.sharing_breakdown() if sys_.track_sharing else None
-    bd = EnergyModel().breakdown(sys_)
-    energy = {
-        "llc_dynamic_nj": bd.llc_dynamic_nj,
-        "memory_dynamic_nj": bd.memory_dynamic_nj,
-        "total_dynamic_nj": bd.total_dynamic_nj,
-        "llc_static_w": bd.llc_static_w,
-        "memory_static_w": bd.memory_static_w,
-    }
+        counters["faults"] = system.faults.counters_dict()
+        faults = system.faults.plan.canonical()
+    sharing = system.sharing_breakdown() if system.track_sharing else None
+    bd = EnergyModel().breakdown(system)
+    energy = {name: getattr(bd, name) for name in (
+        "llc_dynamic_nj", "memory_dynamic_nj", "total_dynamic_nj",
+        "llc_static_w", "memory_static_w")}
     return RunSummary(
         schema=ENGINE_SCHEMA,
         request_key=request_key,
-        config=asdict(sys_.config),
-        seed=None,
-        core_ids=list(result.core_ids),
-        warmup_events=result.warmup_events,
-        measure_events=result.measure_events,
-        warmup_wall_s=result.warmup_wall_s,
-        measure_wall_s=result.measure_wall_s,
-        cores=cores,
+        config=asdict(system.config),
+        seed=seed,
+        core_ids=list(core_ids),
+        warmup_events=warmup_events,
+        measure_events=measure_events,
+        warmup_wall_s=warmup_wall_s,
+        measure_wall_s=measure_wall_s,
+        cores=[CoreSummary.of(system.cores[c]) for c in core_ids],
         counters=counters,
         sharing=sharing,
         energy=energy,
+        faults=faults,
     )
 
 
@@ -565,8 +626,9 @@ def summarize(result, request_key=""):
 # ---------------------------------------------------------------------------
 
 
-def execute_request(request):
-    """Simulate one point; returns the live RunResult.
+def execute_request(request, request_key=""):
+    """Simulate one point; returns the live RunResult (its summary
+    stamped with ``request_key``).
 
     This is the single source of truth for how a RunRequest turns into
     a simulation -- the serial path, the pool workers, the determinism
@@ -611,8 +673,8 @@ def execute_request(request):
                 seed=request.seed, core_ids=list(core_ids))
             system.rw_shared_range = layout.rw_shared_range
     return run_system(system, traces, plan.warmup_events,
-                      plan.measure_events, request.chunk,
-                      seed=request.seed)
+                      plan.measure_events, seed=request.seed,
+                      request_key=request_key)
 
 
 def _execute_to_summary(request, request_key):
@@ -622,9 +684,7 @@ def _execute_to_summary(request, request_key):
         # request's mode.
         from repro.analytic.estimator import estimate_to_summary
         return estimate_to_summary(request, request_key)
-    summary = summarize(execute_request(request), request_key)
-    summary.seed = request.seed
-    return summary
+    return execute_request(request, request_key).summary
 
 
 def _pool_worker(payload):
@@ -1033,7 +1093,7 @@ class RunEngine:
                 and (self.jobs <= 1 or len(sim_missing) <= 1))
             if in_process:
                 # run_system records these into the session itself
-                # (tracer attach, rich manifests) -- no double noting.
+                # (tracer attach, live extras) -- no double noting.
                 executed = []
                 for k in sim_missing:
                     t_s = clock()

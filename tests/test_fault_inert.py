@@ -28,11 +28,12 @@ def config(kind):
 
 def fingerprint(result):
     s = result.system
+    summary = result.summary
     return {
-        "performance": result.performance(),
-        "per_core_ipc": result.per_core_ipc(),
-        "level_counts": result.level_counts(),
-        "instructions": result.instructions(),
+        "performance": summary.performance(),
+        "per_core_ipc": summary.per_core_ipc(),
+        "level_counts": summary.level_counts(),
+        "instructions": summary.instructions(),
         "llc_accesses": s.llc_accesses,
         "invalidations": s.invalidations,
         "directory_lookups": s.directory_lookups,
@@ -82,10 +83,11 @@ def test_attached_zero_rate_injector_is_inert(kind):
     assert fingerprint(hooked) == fingerprint(plain)
     # The injector's hooks on the miss path only read state until a
     # fault fires: every stat outside its own group must agree.
-    snap = hooked.stats_snapshot()
+    snap = hooked.system.stats.snapshot()
     del snap["faults"]
-    assert snap == plain.stats_snapshot()
-    assert hooked.latency_percentiles() == plain.latency_percentiles()
+    assert snap == plain.system.stats.snapshot()
+    assert (hooked.summary.latency_percentiles()
+            == plain.summary.latency_percentiles())
 
 
 def test_active_plan_changes_something():

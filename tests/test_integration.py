@@ -24,17 +24,17 @@ def ws_pair():
 
 def test_silo_outperforms_baseline(ws_pair):
     base, silo = ws_pair
-    assert silo.performance() > base.performance()
+    assert silo.summary.performance() > base.summary.performance()
 
 
 def test_silo_reduces_offchip_misses(ws_pair):
     base, silo = ws_pair
-    assert silo.llc_mpki() < base.llc_mpki()
+    assert silo.summary.llc_mpki() < base.summary.llc_mpki()
 
 
 def test_silo_hits_are_mostly_local(ws_pair):
     _, silo = ws_pair
-    local, remote, _ = silo.llc_breakdown()
+    local, remote, _ = silo.summary.llc_breakdown()
     assert local > remote
 
 
@@ -46,7 +46,7 @@ def test_vault_capacity_bound(ws_pair):
 
 def test_per_core_ipcs_positive(ws_pair):
     base, _ = ws_pair
-    assert all(ipc > 0 for ipc in base.per_core_ipc())
+    assert all(ipc > 0 for ipc in base.summary.per_core_ipc())
 
 
 def test_every_scaleout_workload_runs_on_every_system():
@@ -55,7 +55,7 @@ def test_every_scaleout_workload_runs_on_every_system():
             r = simulate(system_config(sname, scale=1024),
                          SCALEOUT_WORKLOADS[wname],
                          SamplingPlan(1000, 500), seed=0)
-            assert r.performance() > 0
+            assert r.summary.performance() > 0
 
 
 def test_colocated_silo_isolation():
@@ -77,9 +77,9 @@ def test_colocated_silo_isolation():
         traces, _ = generate_colocation_traces(
             assignments, events_per_core=PLAN.total_events, scale=SCALE,
             seed=3)
-        run_system(system, traces, PLAN.warmup_events,
-                   PLAN.measure_events)
-        return sum(system.cores[c].ipc() for c in (0, 1))
+        result = run_system(system, traces, PLAN.warmup_events,
+                            PLAN.measure_events)
+        return result.summary.ipc_of((0, 1))
 
     alone = ws_perf(False)
     together = ws_perf(True)
@@ -89,10 +89,10 @@ def test_colocated_silo_isolation():
 def test_three_level_systems_run():
     r = simulate(system_config("3level_silo", scale=1024),
                  scaleout_workload("web_search"), SamplingPlan(1000, 500))
-    assert r.performance() > 0
+    assert r.summary.performance() > 0
     r2 = simulate(system_config("3level_sram", scale=1024),
                   scaleout_workload("web_search"), SamplingPlan(1000, 500))
-    assert r2.performance() > 0
+    assert r2.summary.performance() > 0
 
 
 def test_track_sharing_collects_classification():

@@ -28,7 +28,7 @@ def perf(kind, scale=512, cores=4, seed=7, plan=PLAN, faults=None,
          **overrides):
     return simulate(config(kind, scale, cores, **overrides),
                     DATA_SERVING, plan, seed=seed,
-                    faults=faults).performance()
+                    faults=faults).summary.performance()
 
 
 # -- seed stability ----------------------------------------------------
@@ -36,8 +36,8 @@ def perf(kind, scale=512, cores=4, seed=7, plan=PLAN, faults=None,
 
 @pytest.mark.parametrize("kind", ["shared", "private_vault"])
 def test_same_seed_is_bit_identical(kind):
-    a = simulate(config(kind), DATA_SERVING, PLAN, seed=7)
-    b = simulate(config(kind), DATA_SERVING, PLAN, seed=7)
+    a = simulate(config(kind), DATA_SERVING, PLAN, seed=7).summary
+    b = simulate(config(kind), DATA_SERVING, PLAN, seed=7).summary
     assert a.performance() == b.performance()
     assert a.per_core_ipc() == b.per_core_ipc()
     assert a.level_counts() == b.level_counts()

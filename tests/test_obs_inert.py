@@ -26,11 +26,12 @@ def config(kind):
 def fingerprint(result):
     """Every observable outcome of a run, as plain data."""
     s = result.system
+    summary = result.summary
     return {
-        "performance": result.performance(),
-        "per_core_ipc": result.per_core_ipc(),
-        "level_counts": result.level_counts(),
-        "instructions": result.instructions(),
+        "performance": summary.performance(),
+        "per_core_ipc": summary.per_core_ipc(),
+        "level_counts": summary.level_counts(),
+        "instructions": summary.instructions(),
         "llc_accesses": s.llc_accesses,
         "invalidations": s.invalidations,
         "directory_lookups": s.directory_lookups,
@@ -54,7 +55,7 @@ def test_observability_is_inert(kind, seed):
     with observe(trace_capacity=512, collect_manifests=True,
                  collect_stats=True) as session:
         watched = simulate(config(kind), spec, PLAN, seed=seed)
-        watched.stats_snapshot()
+        watched.system.stats.snapshot()
         watched.system.stats.dump()
     assert session.runs, "manifest records collected"
     assert watched.system.tracer is not None
@@ -66,8 +67,9 @@ def test_observability_is_inert(kind, seed):
     # The tracer's emit sites on the SILO miss path only read state:
     # the full stats registry and the latency histograms match the
     # untraced run.  (The tracer registers no stats group of its own.)
-    assert watched.stats_snapshot() == plain.stats_snapshot()
-    assert watched.latency_percentiles() == plain.latency_percentiles()
+    assert watched.system.stats.snapshot() == plain.system.stats.snapshot()
+    assert (watched.summary.latency_percentiles()
+            == plain.summary.latency_percentiles())
 
 
 def test_direct_tracer_attachment_is_inert():
@@ -90,9 +92,9 @@ def test_direct_tracer_attachment_is_inert():
 def test_snapshot_reading_does_not_mutate():
     result = simulate(config("shared"), WEB_SEARCH, PLAN, seed=2)
     before = fingerprint(result)
-    a = result.stats_snapshot()
+    a = result.system.stats.snapshot()
     result.system.stats.dump()
-    b = result.stats_snapshot()
+    b = result.system.stats.snapshot()
     assert a == b
     assert fingerprint(result) == before
 
@@ -111,24 +113,23 @@ def test_telemetry_and_profiler_are_inert(kind):
         watched = simulate(config(kind), spec, PLAN, seed=7)
 
     assert fingerprint(watched) == fingerprint(plain)
-    assert watched.stats_snapshot() == plain.stats_snapshot()
-    assert (watched.latency_percentiles()
-            == plain.latency_percentiles())
+    assert watched.system.stats.snapshot() == plain.system.stats.snapshot()
+    assert (watched.summary.latency_percentiles()
+            == plain.summary.latency_percentiles())
     # ...and the observation actually happened
     assert watched.telemetry is not None and watched.telemetry.windows
     assert session.profiler.report()["driven_events"] \
-        == watched.driven_events()
+        == watched.summary.driven_events()
 
 
 def test_telemetry_only_grows_the_manifest():
     """With telemetry on, the manifest gains a "telemetry" section but
     every pre-existing key keeps its exact value."""
     plain = simulate(config("private_vault"), WEB_SEARCH, PLAN, seed=4)
-    base = plain.manifest(seed=4)
-    with observe(telemetry_every=500):
-        watched = simulate(config("private_vault"), WEB_SEARCH, PLAN,
-                           seed=4)
-    grown = watched.manifest(seed=4)
+    base = plain.summary.manifest()
+    with observe(telemetry_every=500, collect_manifests=True) as session:
+        simulate(config("private_vault"), WEB_SEARCH, PLAN, seed=4)
+    (grown,) = session.runs
     assert "telemetry" not in base
     assert grown.pop("telemetry")["windows"] > 0
     # host wall-clock (and the throughput derived from it) is the one

@@ -30,8 +30,7 @@ def test_git_sha_none_outside_repo(tmp_path):
 
 
 def test_run_manifest_fields():
-    result = run()
-    m = result.manifest(seed=4)
+    m = run(seed=4).summary.manifest()
     assert m["schema"] == MANIFEST_SCHEMA
     assert m["config"]["name"] == "man"
     assert m["config"]["llc_kind"] == "private_vault"
@@ -52,13 +51,9 @@ def test_run_manifest_fields():
     assert "trace" not in m  # no tracer attached
 
 
-def test_manifest_with_stats_snapshot():
-    m = run().manifest(include_stats=True)
-    assert m["stats"]["caches"]["llc_accesses"] > 0
-
-
 def test_manifest_is_json_serializable(tmp_path):
-    path = write_manifest(run().manifest(seed=1), str(tmp_path), "m")
+    path = write_manifest(run(seed=1).summary.manifest(), str(tmp_path),
+                          "m")
     doc = json.loads(open(path).read())
     assert doc["seed"] == 1
 
@@ -82,3 +77,29 @@ def test_inactive_session_records_nothing():
         assert not s.active
         run()
     assert s.runs == []
+
+
+def test_live_and_replayed_manifests_match(tmp_path):
+    """A point records the same manifest whether it ran in-process or
+    was replayed from the run cache: same keys (the engine block, the
+    fault plan) and same values outside the host-timing sections."""
+    from repro.faults.plan import FaultPlan
+    from repro.sim.engine import RunCache, RunEngine, RunRequest
+    from repro.workloads.scaleout import WEB_SEARCH
+    request = RunRequest.point(
+        CFG, WEB_SEARCH, PLAN, seed=4,
+        faults=FaultPlan(seed=3, data_flip_rate=0.01, tag_flip_rate=0.01))
+    records = []
+    for _ in range(2):
+        engine = RunEngine(jobs=1, cache=RunCache(str(tmp_path)))
+        with observe(collect_manifests=True) as s:
+            engine.run([request])
+        (record,) = s.runs
+        records.append(record)
+    assert engine.cache_hits == 1           # the second run replayed
+    live, replayed = records
+    assert set(live) == set(replayed)
+    assert live["engine"]["request_key"]
+    assert live["faults"]["plan"] == request.faults.canonical()
+    for key in set(live) - {"wall_clock", "throughput"}:
+        assert live[key] == replayed[key], key

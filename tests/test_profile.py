@@ -105,7 +105,7 @@ def test_instrumented_run_has_subsystem_regions(kind):
     assert any(p.endswith(".memory") for p in paths)
     assert any(p.endswith(".noc") for p in paths)
     assert any(p.endswith(".directory") for p in paths)
-    assert report["driven_events"] == result.driven_events()
+    assert report["driven_events"] == result.summary.driven_events()
 
 
 def test_engine_run_has_setup_region():
@@ -174,7 +174,7 @@ def test_trace_events_flame_chart_layout():
 def test_profiled_run_is_bit_identical():
     plain = simulate(config(), WEB_SEARCH, PLAN, seed=5)
     profiled, _ = profiled_run(seed=5)
-    assert profiled.performance() == plain.performance()
-    assert profiled.level_counts() == plain.level_counts()
+    assert profiled.summary.performance() == plain.summary.performance()
+    assert profiled.summary.level_counts() == plain.summary.level_counts()
     assert (profiled.system.memory.reads, profiled.system.memory.writes) \
         == (plain.system.memory.reads, plain.system.memory.writes)

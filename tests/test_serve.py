@@ -123,6 +123,23 @@ def test_parse_run_payload_rejects_malformed():
             proto.parse_run_payload(bad)
 
 
+def test_unknown_request_fields_are_rejected():
+    """A field this version does not honour (here the interleave grain,
+    which is no longer a request input) must be refused, not silently
+    dropped: the client would get results computed under settings it
+    did not ask for."""
+    wire = dict(_point().canonical(), chunk=50)
+    with pytest.raises(ValueError, match="chunk"):
+        RunRequest.from_canonical(wire)
+    with pytest.raises(proto.ProtocolError, match="chunk"):
+        proto.parse_run_payload({"request": wire})
+    with ServerThread(RunEngine(jobs=1)) as server:
+        with pytest.raises(ServerError) as exc:
+            ServerClient(server.url)._request("POST", "/runs",
+                                              body={"request": wire})
+        assert exc.value.status == 400
+
+
 def test_transport_from_spec():
     assert transport_from_spec("") is None
     assert transport_from_spec("none") is None

@@ -233,7 +233,7 @@ def test_miss_path_golden(case):
     if faults is not None:
         assert result.system.faults.write_throughs > 0
         assert result.system.faults.broadcast_snoops > 0
-    doc = {"stats": result.stats_snapshot(),
-           "latency": result.latency_percentiles()}
+    doc = {"stats": result.system.stats.snapshot(),
+           "latency": result.summary.latency_percentiles()}
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_DIGESTS[case]

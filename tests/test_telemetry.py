@@ -67,7 +67,7 @@ def test_windows_cover_the_measure_phase_exactly(kind):
     assert t.finished
     windows = t.windows
     assert windows
-    driven = result.driven_events()
+    driven = result.summary.driven_events()
     assert windows[-1]["events"] == driven
     assert sum(w["window_events"] for w in windows) == driven
     assert [w["index"] for w in windows] == list(range(len(windows)))
@@ -89,7 +89,7 @@ def test_window_deltas_sum_to_final_counters():
     for w in t.windows:
         for c, pc in enumerate(w["per_core"]):
             per_core[c] += pc["events"]
-    assert sum(per_core) == result.driven_events()
+    assert sum(per_core) == result.summary.driven_events()
 
 
 def test_window_rates_are_fractions():

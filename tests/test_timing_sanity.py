@@ -18,8 +18,7 @@ SCALE = 256
 
 def _avg_latency(result, level):
     lat = cnt = 0.0
-    for c in result.core_ids:
-        core = result.system.cores[c]
+    for core in result.summary.cores:
         lat += core.data_latency[level] + core.ifetch_latency[level]
         cnt += core.data_count[level] + core.ifetch_count[level]
     return lat / max(1, cnt)

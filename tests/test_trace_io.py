@@ -49,7 +49,7 @@ def test_saved_traces_replay_identically(tmp_path):
     def run(trs):
         system = System(silo_config(num_cores=4, scale=512),
                         [DATA_SERVING.core] * 4)
-        return run_system(system, trs, 100, 100).performance()
+        return run_system(system, trs, 100, 100).summary.performance()
 
     assert run(traces) == pytest.approx(run(loaded))
 

@@ -25,8 +25,8 @@ def main():
     geo = 1.0
     for name, spec in SCALEOUT_WORKLOADS.items():
         t0 = time.time()
-        base = simulate(system_config("baseline"), spec, plan)
-        silo = simulate(system_config("silo"), spec, plan)
+        base = simulate(system_config("baseline"), spec, plan).summary
+        silo = simulate(system_config("silo"), spec, plan).summary
         dt = time.time() - t0
         bp, sp = base.performance(), silo.performance()
         speedup = sp / bp
@@ -40,7 +40,7 @@ def main():
               "base hit %.2f  silo hit %.2f (local %.2f of hits)  "
               "missred %.2f  mpki %.1f->%.1f  [%.0fs]"
               % (name, speedup, TARGET_SPEEDUP[name],
-                 bp / base.system.num_cores,
+                 bp / len(base.core_ids),
                  1 - bm / btot, 1 - sm / stot,
                  sl / (sl + sr) if sl + sr else 0, miss_red,
                  base.llc_mpki(), silo.llc_mpki(), dt))
