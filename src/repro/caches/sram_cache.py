@@ -35,7 +35,8 @@ class SetAssocCache:
     """
 
     __slots__ = ("size_bytes", "ways", "block_bytes", "num_sets",
-                 "index_stride", "policy", "_reorder", "_sets")
+                 "index_stride", "policy", "_reorder", "_oldest_first",
+                 "_sets")
 
     def __init__(self, size_bytes, ways, block_bytes=BLOCK_BYTES,
                  policy="lru", index_stride=1, seed=0, rng=None):
@@ -53,6 +54,8 @@ class SetAssocCache:
         self.index_stride = index_stride
         self.policy = make_policy(policy, seed, rng)
         self._reorder = self.policy.reorder_on_hit
+        # LRU and FIFO evict the oldest entry of a set (dict order)
+        self._oldest_first = policy in ("lru", "fifo")
         self._sets = [dict() for _ in range(self.num_sets)]
 
     @property
@@ -102,6 +105,19 @@ class SetAssocCache:
         victim = None
         if len(entries) >= self.ways:
             vblock = self.policy.victim(entries)
+            victim = (vblock, entries.pop(vblock))
+        entries[block] = state
+        return victim
+
+    def insert_absent(self, block, state):
+        """``insert`` for a block the caller knows is not resident (a
+        lookup just missed it): skips the residency test.  Returns the
+        evicted ``(victim_block, victim_state)`` pair or None."""
+        entries = self._sets[(block // self.index_stride) % self.num_sets]
+        victim = None
+        if len(entries) >= self.ways:
+            vblock = (next(iter(entries)) if self._oldest_first
+                      else self.policy.victim(entries))
             victim = (vblock, entries.pop(vblock))
         entries[block] = state
         return victim

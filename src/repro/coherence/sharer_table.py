@@ -6,6 +6,8 @@ records, per block, the bitmask of cores with an L1 copy and the core
 holding it dirty (M), if any.
 """
 
+from repro.coherence.states import SHARED, EXCLUSIVE, MODIFIED
+
 
 class SharerTable:
     """Per-block L1 presence: sharers bitmask + exclusive/dirty owner."""
@@ -47,6 +49,29 @@ class SharerTable:
             entry[0] |= bit
             if exclusive:
                 entry[1] = core
+
+    def fill(self, block, core, write):
+        """Record ``core``'s L1 fill of the block after a miss, and
+        return ``(state, others)``: the MESI state the fill is granted
+        and the mask of the other cores' copies before the fill.  A
+        write makes ``core`` the sole M owner (the caller invalidates
+        ``others``); a read is Exclusive, and owns the block, when no
+        other core holds a copy, else Shared."""
+        bit = 1 << core
+        entry = self._entries.get(block)
+        if entry is None:
+            self._entries[block] = [bit, core]
+            return (MODIFIED if write else EXCLUSIVE), 0
+        others = entry[0] & ~bit
+        if write:
+            entry[0] = bit
+            entry[1] = core
+            return MODIFIED, others
+        entry[0] |= bit
+        if others:
+            return SHARED, others
+        entry[1] = core
+        return EXCLUSIVE, 0
 
     def set_owner(self, block, core):
         """Promote ``core`` to M/E owner (it must already be a sharer)."""

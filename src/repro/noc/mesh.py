@@ -63,10 +63,6 @@ class Mesh2D:
         """Tile of the closest memory controller to ``node``."""
         return self._nearest[node]
 
-    def latency_to_memory(self, node):
-        """One-way latency from ``node`` to its nearest memory port."""
-        return self.latency(node, self.nearest_memory_port(node))
-
     def average_hops(self):
         """Mean hop count over all (src, dst) pairs, src != dst included
         as well as src == dst (an address-interleaved LLC maps 1/N of

@@ -11,7 +11,7 @@ Off-state cost is exactly zero on the hot path: nothing is wrapped and
 ``_drive``/``System.access`` run byte-for-byte unmodified.  When a
 session enables profiling, :func:`instrument` monkey-patches *instance*
 attributes of one System (``system.access``, the miss paths, the
-coherence helpers, ``memory.access``, the mesh latency methods) with
+coherence helpers, ``memory.access``, the mesh latency method) with
 timed closures; the class methods -- and every uninstrumented System --
 are untouched.  Wrapping
 only ever *reads* simulator state plus the wall clock, so profiled runs
@@ -217,11 +217,12 @@ def instrument(profiler, system):
     paths, ``coherence`` covers upgrades, peer invalidations and MOESI
     downgrades, ``directory`` the sharer-table/duplicate-tag lookups,
     ``noc`` the mesh latency calls, ``memory`` main-memory access,
-    ``ecc`` the fault-recovery paths.  On SILO runs the home-node hop
-    and the demand memory read are inlined into ``_miss_private``, so
-    their time counts in ``vault``, not in ``noc``/``memory``.  Only
-    instance attributes are written; an uninstrumented System shares
-    none of them.
+    ``ecc`` the fault-recovery paths.  The miss paths inline their
+    common hops and the demand memory read, so that time counts in
+    the miss-path region, not in ``noc``/``memory``: on SILO runs the
+    home-node hop in ``vault``, on shared runs the home-bank and
+    memory-port hops in ``nuca``.  Only instance attributes are
+    written; an uninstrumented System shares none of them.
     """
     _wrap_attr(profiler, system, "access", "access")
     if system.sharer_table is not None:
@@ -235,7 +236,6 @@ def instrument(profiler, system):
                  "_invalidate_peer_vaults", "_downgrade_supplier"):
         _wrap_attr(profiler, system, name, "coherence")
     _wrap_attr(profiler, system.memory, "access", "memory")
-    _wrap_attr(profiler, system.mesh, "round_trip", "noc")
     _wrap_attr(profiler, system.mesh, "latency", "noc")
     if system.faults is not None:
         for name in ("_vault_hit_faults", "_directory_faults",

@@ -375,9 +375,11 @@ class System:
                              "upgrade:%d->M" % l1_state)
         if self.kind == LLC_SHARED:
             if l1_state != EXCLUSIVE:
-                self._invalidate_peer_l1s(core, block)
+                _, others = self.sharer_table.fill(block, core, True)
+                self._invalidate_peer_l1s(block, others)
+            else:
+                self.sharer_table.add_sharer(block, core, exclusive=True)
             self.l1d[core].update(block, MODIFIED)
-            self.sharer_table.add_sharer(block, core, exclusive=True)
         else:
             if self.faults is not None and self.faults.offline[core]:
                 # Degraded mode (vault offline): no M state without a
@@ -400,34 +402,26 @@ class System:
             if self.l2 is not None and self.l2[core].contains(block):
                 self.l2[core].update(block, MODIFIED)
 
-    def _invalidate_replicas(self, block):
-        """Victim replication: drop every replica of a written block
+    def _invalidate_peer_l1s(self, block, mask):
+        """Shared org: invalidate the L1 (and L2) copies of the cores in
+        ``mask``, whose sharer-table bits the caller already cleared.
+        Under victim replication, stale bank replicas die with them
         (the home-bank copy is the authoritative one)."""
-        home = self.llc.bank_of(block)
-        for b, bank in enumerate(self.llc.banks):
-            if b != home:
-                bank.invalidate(block)
-
-    def _invalidate_peer_l1s(self, core, block):
-        """Shared org: invalidate every other core's L1 copy.  Under
-        victim replication, stale bank replicas die with them."""
         if self.victim_replication:
-            self._invalidate_replicas(block)
-        table = self.sharer_table
-        mask = table.sharers(block) & ~(1 << core)
-        if not mask:
-            return
+            home = block % self.llc.num_banks
+            for b, bank in enumerate(self.llc.banks):
+                if b != home:
+                    bank.invalidate(block)
         for s in range(self.num_cores):
             if mask & (1 << s):
                 st = self.l1d[s].invalidate(block)
                 if st is not None and is_dirty(st):
                     # stale dirty peer: its data reaches the LLC
-                    self._insert_llc(s, block, dirty=True)
+                    self._write_back_llc(s, block)
                 if self.l2 is not None:
                     l2st = self.l2[s].invalidate(block)
                     if l2st is not None and is_dirty(l2st):
-                        self._insert_llc(s, block, dirty=True)
-                table.remove_sharer(block, s)
+                        self._write_back_llc(s, block)
                 self.invalidations += 1
                 if self.tracer is not None:
                     self.tracer.emit(EV_INVALIDATE, self.now, s, block,
@@ -462,199 +456,205 @@ class System:
     # ------------------------------------------------------------------
 
     def _miss_shared(self, core, block, is_write, is_data, now):
-        """L1 miss in a shared-LLC system.  Returns (latency, level)."""
-        # Private L2 (3-level hierarchies)
-        if self.l2 is not None:
-            l2 = self.l2[core]
-            st = l2.lookup(block)
-            if st is not None:
-                lat = self.l2_latency
-                self._fill_l1_shared(core, block, is_write, is_data,
-                                     from_state=st)
-                return lat, LEVEL_L2
+        """L1 miss in a shared-LLC system.  Returns (latency, level).
 
-        if self.victim_replication and is_data:
-            home_bank = self.llc.bank_of(block)
-            if home_bank != core:
-                local = self.llc.banks[core]
-                if local.lookup(block) is not None:
-                    # replica hit in the local bank: no mesh traversal
-                    self.llc_accesses += 1
-                    self.replica_hits += 1
-                    lat = (self.mesh.INJECTION_OVERHEAD
-                           + self.llc.bank_latency)
-                    self._fill_l1_shared(core, block, is_write, True,
-                                         from_state=None)
-                    if is_write:
-                        self._invalidate_replicas(block)
-                    return lat, LEVEL_LLC_LOCAL
-
-        bank = self.llc.bank_of(block)
-        bank_offline = (self.faults is not None
-                        and self.faults.offline[bank])
-        lat = self.mesh.round_trip(core, bank)
-        if bank_offline:
-            # The bank's controller forwards the request off-chip
-            # without touching the (drained) data array.
-            self.faults.remapped_accesses += 1
-        else:
-            lat += self.llc.bank_latency
-            self.llc_accesses += 1
-        if self.track_sharing and is_data:
-            if is_write:
-                self.llc_demand_writes += 1
-                self.block_writers[block] = (
-                    self.block_writers.get(block, 0) | (1 << core))
-                self.llc_writes_by_block[block] = (
-                    self.llc_writes_by_block.get(block, 0) + 1)
-            else:
-                self.llc_reads += 1
-                self.block_readers[block] = (
-                    self.block_readers.get(block, 0) | (1 << core))
-
-        level = LEVEL_LLC_LOCAL
-        served = False
-        if is_data:
-            # A peer L1 may hold the line dirty (non-inclusive MESI).
-            owner = self.sharer_table.owner(block)
-            if owner != SharerTable.NO_OWNER and owner != core:
-                owner_state = self.l1d[owner].lookup(block, touch=False)
-                if owner_state is not None:
-                    # Forward from the peer; dirty data is also written
-                    # back to the LLC (MESI downgrade M->S).
-                    lat += (self.mesh.latency(bank, owner)
-                            + self.l1_latency
-                            + self.mesh.latency(owner, core))
-                    self.remote_forwards += 1
-                    if owner_state == MODIFIED:
-                        self._insert_llc(owner, block, dirty=True)
-                    self.l1d[owner].update(block, SHARED)
-                    self.sharer_table.clear_owner(block)
-                    level = LEVEL_LLC_REMOTE
-                    served = True
-
-        if not served:
-            st = None if bank_offline else self.llc.lookup(block)
-            if st is not None and self.faults is not None:
-                if self._shared_llc_fault(bank, block, st):
-                    st = None  # uncorrectable: line gone, miss instead
-            if st is not None:
-                served = True
-            else:
-                lat2, level = self._off_chip_shared(core, block, is_write,
-                                                    now)
-                lat += lat2
-                self._insert_llc(core, block, dirty=False)
-
-        if self.l2 is not None:
-            l2victim = self.l2[core].insert(block, SHARED)
-            if l2victim is not None:
-                self._handle_l2_victim(core, l2victim)
-        self._fill_l1_shared(core, block, is_write, is_data,
-                             from_state=None)
-        return lat, level
-
-    def _off_chip_shared(self, core, block, is_write, now):
-        """LLC miss: conventional DRAM cache (if any), then memory."""
-        port = self.mesh.nearest_memory_port(core)
-        noc = 2 * self.mesh.latency(core, port)
-        if self.dram_cache is not None:
-            self.dram_cache_accesses += 1
-            if self.dram_cache.lookup_block(block):
-                ctrl = self.dram_cache_ctrl[(block >> 3) % 8]
-                queue = ctrl.access(block, self.now)
-                return (noc + self.dram_cache_latency + queue,
-                        LEVEL_DRAM_CACHE)
-            # Perfect miss prediction: no wasted DRAM$ probe.  Fill the
-            # page from memory in the background.
-            victim = self.dram_cache.fill(block)
-            if victim is not None and victim[1]:
-                self.memory.access(block, self.now, is_write=True)
-        return (noc + self.memory.access(block, now), LEVEL_MEMORY)
-
-    def _insert_llc(self, core, block, dirty):
-        """Allocate a block in the shared LLC; handles dirty victims."""
-        if (self.faults is not None
-                and self.faults.offline[self.llc.bank_of(block)]):
-            # Home bank offline: nothing to allocate into; dirty data
-            # goes straight to memory instead.
-            self.faults.remapped_accesses += 1
-            if dirty:
-                self.memory.access(block, self.now, is_write=True)
-            return
-        self.llc_accesses += 1
-        if self.track_sharing and dirty:
-            self.block_writers[block] = (
-                self.block_writers.get(block, 0) | (1 << core))
-            self.llc_writes_by_block[block] = (
-                self.llc_writes_by_block.get(block, 0) + 1)
-        existing = self.llc.lookup(block, touch=False)
-        if existing is not None:
-            if dirty:
-                self.llc.update(block, True)
-            return
-        victim = self.llc.insert(block, dirty)
-        if victim is not None and victim[1]:
-            self.llc_writebacks += 1
-            vb = victim[0]
-            if self.dram_cache is not None:
-                self.dram_cache_accesses += 1
-                if self.dram_cache.lookup_block(vb):
-                    self.dram_cache.touch_write(vb)
-                else:
-                    dvic = self.dram_cache.fill(vb, dirty=True)
-                    if dvic is not None and dvic[1]:
-                        self.memory.access(vb, self.now, is_write=True)
-            else:
-                self.memory.access(vb, self.now, is_write=True)
-
-    def _handle_l2_victim(self, core, victim):
-        """L2 eviction: the block leaves the core's private hierarchy
-        entirely (L1 inclusion enforced), so its sharer entry is
-        dropped; dirty data (in either level) reaches the LLC."""
-        vb, vst = victim
-        l1st = self.l1d[core].invalidate(vb)
-        self.l1i[core].invalidate(vb)
-        if l1st is not None and is_dirty(l1st):
-            vst = MODIFIED
-        self.sharer_table.remove_sharer(vb, core)
-        if is_dirty(vst):
-            self._insert_llc(core, vb, dirty=True)
-
-    def _fill_l1_shared(self, core, block, is_write, is_data, from_state):
-        """Fill the L1 after a shared-org miss, with MESI state."""
-        if not is_data:
-            return  # the ifetch path fills L1-I at the call site
+        Two stages, as in ``_miss_private``: find the source (an L2 hit,
+        a local-bank victim replica, a peer L1 forward, the home NUCA
+        bank, or the DRAM cache or memory behind it), then run one fill
+        tail (LLC allocate on a bank miss, L2 fill below the L2, L1-D
+        fill with its sharer-table update).  The home-bank and
+        memory-port hops and the demand memory read are inlined
+        (DESIGN.md "One shared miss path")."""
+        faults = self.faults
+        llc = self.llc
         table = self.sharer_table
-        if is_write:
-            self._invalidate_peer_l1s(core, block)
-            state = MODIFIED
-            table.add_sharer(block, core, exclusive=True)
+        l2 = None if self.l2 is None else self.l2[core]
+        fill_l2 = l2 is not None
+        allocate = False
+        if fill_l2 and l2.lookup(block) is not None:
+            lat = self.l2_latency
+            level = LEVEL_L2
+            fill_l2 = False
+        elif (self.victim_replication and is_data
+              and block % llc.num_banks != core
+              and llc.banks[core].lookup(block) is not None):
+            # replica hit in the local bank: no mesh traversal
+            self.llc_accesses += 1
+            self.replica_hits += 1
+            lat = self.mesh.INJECTION_OVERHEAD + llc.bank_latency
+            level = LEVEL_LLC_LOCAL
         else:
-            others = table.sharers(block) & ~(1 << core)
-            state = EXCLUSIVE if others == 0 else SHARED
-            table.add_sharer(block, core, exclusive=others == 0)
-        victim = self.l1d[core].insert(block, state)
+            mesh = self.mesh
+            hops = mesh._hops
+            hop_lat = mesh.hop_latency
+            bank = block % llc.num_banks
+            bank_offline = faults is not None and faults.offline[bank]
+            h = hops[core][bank]
+            mesh.link_traversals += h
+            lat = mesh.INJECTION_OVERHEAD + 2 * (h * hop_lat)
+            if bank_offline:
+                # The bank's controller forwards the request off-chip
+                # without touching the (drained) data array.
+                faults.remapped_accesses += 1
+            else:
+                lat += llc.bank_latency
+                self.llc_accesses += 1
+            if self.track_sharing and is_data:
+                if is_write:
+                    self.llc_demand_writes += 1
+                    self.block_writers[block] = (
+                        self.block_writers.get(block, 0) | (1 << core))
+                    self.llc_writes_by_block[block] = (
+                        self.llc_writes_by_block.get(block, 0) + 1)
+                else:
+                    self.llc_reads += 1
+                    self.block_readers[block] = (
+                        self.block_readers.get(block, 0) | (1 << core))
+
+            level = LEVEL_LLC_LOCAL
+            owner_state = None
+            if is_data:
+                # A peer L1 may hold the line dirty (non-inclusive MESI).
+                owner = table.owner(block)
+                if owner != SharerTable.NO_OWNER and owner != core:
+                    owner_l1 = self.l1d[owner]
+                    owner_state = owner_l1.lookup(block, touch=False)
+            if owner_state is not None:
+                # Forward from the peer; dirty data is also written back
+                # to the LLC (MESI downgrade M->S).
+                lat += (mesh.latency(bank, owner) + self.l1_latency
+                        + mesh.latency(owner, core))
+                self.remote_forwards += 1
+                if owner_state == MODIFIED:
+                    self._write_back_llc(owner, block)
+                owner_l1.update(block, SHARED)
+                table.clear_owner(block)
+                level = LEVEL_LLC_REMOTE
+            else:
+                st = None if bank_offline else llc.banks[bank].lookup(block)
+                if (st is not None and faults is not None
+                        and self._shared_llc_fault(bank, block, st)):
+                    st = None  # uncorrectable: line gone, miss instead
+                if st is None:
+                    allocate = True
+                    port = mesh._nearest[core]
+                    h = hops[core][port]
+                    mesh.link_traversals += h
+                    noc = 2 * (h * hop_lat)
+                    level = LEVEL_MEMORY
+                    dram_cache = self.dram_cache
+                    if dram_cache is not None:
+                        self.dram_cache_accesses += 1
+                        if dram_cache.lookup_block(block):
+                            ctrl = self.dram_cache_ctrl[(block >> 3) % 8]
+                            lat += (noc + self.dram_cache_latency
+                                    + ctrl.access(block, self.now))
+                            level = LEVEL_DRAM_CACHE
+                        else:
+                            # Perfect miss prediction: no wasted DRAM$
+                            # probe.  Fill the page from memory in the
+                            # background.
+                            victim = dram_cache.fill(block)
+                            if victim is not None and victim[1]:
+                                self.memory.access(block, self.now,
+                                                   is_write=True)
+                    if level == LEVEL_MEMORY:
+                        mem = self.memory
+                        mem.reads += 1
+                        mlat = mem.latency
+                        if mem.model_queueing:
+                            mlat += mem.controllers[
+                                (block >> 3) % mem.num_channels].access(
+                                    block, now)
+                        lat += noc + mlat
+
+        # The fill tail.  The bank just missed the block, and the L1
+        # missed it, so both fills skip the residency test.
+        if allocate:
+            if bank_offline:
+                faults.remapped_accesses += 1  # nothing to allocate into
+            else:
+                self.llc_accesses += 1
+                victim = llc.banks[bank].insert_absent(block, False)
+                if victim is not None and victim[1]:
+                    self._evict_llc_victim(victim[0])
+        if fill_l2:
+            l2victim = l2.insert(block, SHARED)
+            if l2victim is not None:
+                # The victim leaves the private hierarchy (L1 is inclusive
+                # in L2); dirty data in either level reaches the LLC.
+                vb, vst = l2victim
+                l1st = self.l1d[core].invalidate(vb)
+                self.l1i[core].invalidate(vb)
+                table.remove_sharer(vb, core)
+                if is_dirty(vst) or (l1st is not None and is_dirty(l1st)):
+                    self._write_back_llc(core, vb)
+        if not is_data:
+            return lat, level  # the ifetch path fills L1-I at the call site
+        state, others = table.fill(block, core, is_write)
+        if is_write and (others or self.victim_replication):
+            self._invalidate_peer_l1s(block, others)
+        victim = self.l1d[core].insert_absent(block, state)
         if victim is not None:
             vb, vst = victim
             table.remove_sharer(vb, core)
-            if is_dirty(vst):
+            if vst == MODIFIED:  # the one dirty MESI state
                 self.l1_writebacks += 1
-                if self.l2 is not None:
-                    self.l2[core].insert(vb, MODIFIED)
-                    # (victim of this insert handled lazily on next use)
-                else:
-                    self._insert_llc(core, vb, dirty=True)
+                if l2 is None:
+                    self._write_back_llc(core, vb)
+                elif l2.insert(vb, MODIFIED) is not None:
+                    # L1 is inclusive in L2: this insert only refreshes
+                    raise AssertionError(
+                        "L2 inclusion violated: core %d L1 victim %d "
+                        "missed its L2" % (core, vb))
             elif (self.victim_replication
-                  and self.llc.bank_of(vb) != core
-                  and not (self.faults is not None
-                           and self.faults.offline[core])):
+                  and vb % llc.num_banks != core
+                  and not (faults is not None and faults.offline[core])):
                 # clean victim: keep a low-priority replica in the
                 # local bank (LRU position: replicas earn retention by
                 # being re-referenced, they never displace hot blocks
                 # on arrival)
-                self.llc.banks[core].insert_cold(vb, False)
+                llc.banks[core].insert_cold(vb, False)
                 self.llc_accesses += 1
+        return lat, level
+
+    def _write_back_llc(self, core, block):
+        """Dirty data from ``core``'s L1 or L2 returns to the block's
+        home bank, allocating it there if absent."""
+        bank = block % self.llc.num_banks
+        if self.faults is not None and self.faults.offline[bank]:
+            # home bank offline: the dirty data goes to memory instead
+            self.faults.remapped_accesses += 1
+            self.memory.access(block, self.now, is_write=True)
+            return
+        self.llc_accesses += 1
+        if self.track_sharing:
+            self.block_writers[block] = (
+                self.block_writers.get(block, 0) | (1 << core))
+            self.llc_writes_by_block[block] = (
+                self.llc_writes_by_block.get(block, 0) + 1)
+        home = self.llc.banks[bank]
+        if home.contains(block):
+            home.update(block, True)
+            return
+        victim = home.insert(block, True)
+        if victim is not None and victim[1]:
+            self._evict_llc_victim(victim[0])
+
+    def _evict_llc_victim(self, vb):
+        """A dirty LLC victim leaves the chip: into the DRAM cache, if
+        there is one, else to memory."""
+        self.llc_writebacks += 1
+        if self.dram_cache is not None:
+            self.dram_cache_accesses += 1
+            if self.dram_cache.lookup_block(vb):
+                self.dram_cache.touch_write(vb)
+            else:
+                dvic = self.dram_cache.fill(vb, dirty=True)
+                if dvic is not None and dvic[1]:
+                    self.memory.access(vb, self.now, is_write=True)
+        else:
+            self.memory.access(vb, self.now, is_write=True)
 
     # ------------------------------------------------------------------
     # SILO (private vault) path

@@ -149,6 +149,23 @@ def test_occupancy_never_exceeds_capacity(blocks, policy):
         assert len(entries) <= cache.ways
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=255), min_size=1,
+                max_size=200),
+       st.sampled_from(["lru", "fifo", "random"]))
+def test_insert_absent_matches_insert(blocks, policy):
+    """For a block a lookup just missed, ``insert_absent`` evicts the
+    same victim as ``insert`` and leaves the same sets."""
+    plain = SetAssocCache(16 * 64, 4, policy=policy, seed=5)
+    fast = SetAssocCache(16 * 64, 4, policy=policy, seed=5)
+    for b in blocks:
+        hit = plain.lookup(b)
+        assert fast.lookup(b) == hit
+        if hit is None:
+            assert fast.insert_absent(b, b) == plain.insert(b, b)
+    assert list(fast.blocks()) == list(plain.blocks())
+
+
 def test_insert_cold_lands_at_lru():
     c = SetAssocCache(2 * 64, 2)
     c.insert(0, 1)

@@ -1,6 +1,7 @@
 """Coherence states, sharer table, duplicate-tag directory."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.coherence.states import (
     INVALID, SHARED, EXCLUSIVE, OWNED, MODIFIED, is_dirty, state_name,
@@ -88,6 +89,55 @@ def test_drop_block():
 def test_rejects_bad_core_count():
     with pytest.raises(ValueError):
         SharerTable(0)
+
+
+def test_fill_grants_mesi_state():
+    t = SharerTable(4)
+    assert t.fill(10, 0, False) == (EXCLUSIVE, 0)
+    assert t.owner(10) == 0
+    assert t.fill(10, 1, False) == (SHARED, 0b0001)
+    assert t.sharers(10) == 0b0011
+    assert t.fill(10, 2, True) == (MODIFIED, 0b0011)
+    assert (t.sharers(10), t.owner(10)) == (0b0100, 2)
+
+
+def _fill_by_parts(table, block, core, write):
+    """The fill as separate sharer-table calls: look up the other
+    sharers, drop them on a write, then add ``core``."""
+    others = table.sharers(block) & ~(1 << core)
+    if write:
+        for s in range(table.num_cores):
+            if others & (1 << s):
+                table.remove_sharer(block, s)
+        table.add_sharer(block, core, exclusive=True)
+        return MODIFIED, others
+    table.add_sharer(block, core, exclusive=others == 0)
+    return (SHARED if others else EXCLUSIVE), others
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["fill", "remove", "clear"]),
+                          st.integers(0, 3), st.integers(0, 3),
+                          st.booleans()),
+                max_size=60))
+def test_fill_matches_separate_calls(ops):
+    """``fill`` leaves the same sharers and owner, and returns the same
+    state and peer mask, as the separate calls it fuses, whatever
+    removals and owner downgrades come between fills."""
+    fused, parts = SharerTable(4), SharerTable(4)
+    for op, block, core, write in ops:
+        if op == "fill":
+            assert (fused.fill(block, core, write)
+                    == _fill_by_parts(parts, block, core, write))
+        elif op == "remove":
+            fused.remove_sharer(block, core)
+            parts.remove_sharer(block, core)
+        else:
+            fused.clear_owner(block)
+            parts.clear_owner(block)
+        for b in range(4):
+            assert fused.sharers(b) == parts.sharers(b)
+            assert fused.owner(b) == parts.owner(b)
 
 
 # -- duplicate-tag directory ----------------------------------------------
