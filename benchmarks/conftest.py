@@ -8,9 +8,10 @@ to be re-sampled), prints the regenerated table, and writes it to
 Every benchmark also runs under a metered :class:`repro.sim.engine.
 RunEngine`; per-figure wall clock and engine throughput (driven
 events/sec, cache hits/misses) are collected and written to
-``benchmarks/results/BENCH_engine.json`` -- and mirrored to the repo
-root -- at the end of the session, so CI can archive one
-machine-readable performance record per run.
+``BENCH_engine.json`` at the repo root at the end of the session, so
+CI can archive one machine-readable performance record per run.  A
+benchmark that sent the metered engine no request and attached no
+extras gets no record.
 """
 
 import json
@@ -24,18 +25,14 @@ from repro.sim import engine as sim_engine
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_ENGINE_PATH = os.path.join(RESULTS_DIR, "BENCH_engine.json")
 
 
 def write_bench_json(name, payload):
-    """Write a BENCH_*.json record to ``benchmarks/results/`` and to the
-    repo root (the root copy is the one CI diffs and READMEs link)."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    for directory in (RESULTS_DIR, REPO_ROOT):
-        path = os.path.join(directory, name)
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+    """Write a BENCH_*.json record to the repo root (the copy CI
+    archives and READMEs link)."""
+    with open(os.path.join(REPO_ROOT, name), "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 #: node name -> {"wall_clock_s": ..., "engine": snapshot, ...extras}
 _ENGINE_RECORDS = {}
@@ -52,6 +49,8 @@ def metered_engine(request):
     start = time.perf_counter()
     with sim_engine.use_engine(engine):
         yield engine
+    if not engine.requests and request.node.name not in _ENGINE_RECORDS:
+        return
     record = _ENGINE_RECORDS.setdefault(request.node.name, {})
     record["wall_clock_s"] = round(time.perf_counter() - start, 3)
     record["engine"] = engine.snapshot()
@@ -80,8 +79,8 @@ def pytest_sessionfinish(session, exitstatus):
 
 @pytest.fixture
 def write_bench():
-    """Write a benchmark's own BENCH_*.json record to both locations
-    (``benchmarks/results/`` and the repo root)."""
+    """Write a benchmark's own BENCH_*.json record to the repo
+    root."""
     return write_bench_json
 
 

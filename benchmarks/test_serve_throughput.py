@@ -12,9 +12,8 @@ backed by a disk cache:
    over loopback HTTP must cost at most 2x what the same replay costs
    through a local ``RunEngine`` + ``RunCache``.
 
-Everything measured lands in ``BENCH_serve.json`` (results dir + repo
-root) so CI archives one machine-readable serving-performance record
-per run.
+Everything measured lands in ``BENCH_serve.json`` at the repo root so
+CI archives one machine-readable serving-performance record per run.
 """
 
 import asyncio

@@ -14,7 +14,7 @@ only reads simulator state.  The telemetry gate is deliberately loose
 (median slowdown under 50%): the sampler runs once per interleave
 round so its honest cost is ~10-20% at this window density, but
 shared CI runners jitter hard on sub-second phases.  Everything lands
-in ``BENCH_telemetry.json`` (repo root and ``benchmarks/results/``).
+in ``BENCH_telemetry.json`` at the repo root.
 """
 
 from statistics import median

@@ -45,7 +45,7 @@ class FlightRecorder:
         #: Optional ``fn(span)`` called synchronously for every span as
         #: it is recorded -- the job server's streaming tap.  Unlike the
         #: ObservationSession listener seam this also fires when no
-        #: session is installed, and it sees pool/transport spans the
+        #: session is installed, and it sees process-pool spans the
         #: instant the parent stamps them.
         self.on_record = None
 

@@ -1,20 +1,11 @@
-"""Simulation-as-a-service: asyncio job server, transports, client.
+"""Simulation-as-a-service: asyncio job server and client.
 
-``python -m repro.serve`` starts the server; ``python -m
-repro.serve.worker`` runs socket/spool workers; ``python -m
+``python -m repro.serve`` starts the server, which fans work out over
+the run engine's own process pool (``--jobs N``); ``python -m
 repro.serve.client`` submits.  See DESIGN.md section 2h for the
-architecture (dedup, priorities, backpressure, transports, failure
-model).
+architecture (dedup, priorities, backpressure, failure model).
 """
 
 from repro.serve.server import DEFAULT_PORT, JobServer
-from repro.serve.transport import (ExecutorTransport, JobFileTransport,
-                                   LocalPoolTransport,
-                                   SocketWorkerTransport,
-                                   TransportError, transport_from_spec)
 
-__all__ = [
-    "DEFAULT_PORT", "JobServer", "ExecutorTransport",
-    "JobFileTransport", "LocalPoolTransport", "SocketWorkerTransport",
-    "TransportError", "transport_from_spec",
-]
+__all__ = ["DEFAULT_PORT", "JobServer"]

@@ -31,7 +31,7 @@ Endpoints: ``POST /runs`` (submit; body per
 Threading model: the asyncio loop never simulates.  All engine work
 runs on a single dedicated thread (``_engine_pool``), which serializes
 engine access (the engine's counters are not thread-safe) while the
-engine itself fans out through its transport; results cross back via
+engine itself fans out over its process pool; results cross back via
 ``run_in_executor``.  Span/run callbacks fire on the engine thread and
 hop onto the loop with ``call_soon_threadsafe``.
 """
@@ -86,7 +86,7 @@ class JobServer:
         self._running = False
         self._loop = None
         # Engine access is serialized on this one thread; the engine's
-        # transport provides the parallelism underneath it.
+        # process pool provides the parallelism underneath it.
         self._engine_pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="silo-serve-engine")
         self._inflight = {}                       # key -> _JobState
@@ -123,8 +123,8 @@ class JobServer:
         g.formula("dedup_ratio", self.dedup_ratio,
                   desc="fraction of submissions that did not need a "
                        "new job")
-        g.formula("capacity", self._capacity,
-                  desc="advisory parallelism of the engine transport")
+        g.formula("capacity", lambda: self.engine.jobs,
+                  desc="process-pool width of the engine")
         return g
 
     # -- derived gauges --------------------------------------------------
@@ -137,12 +137,6 @@ class JobServer:
             return 0.0
         return (self.deduped_inflight + self.memo_hits) \
             / self.submitted
-
-    def _capacity(self):
-        transport = self.engine.transport
-        if transport is not None:
-            return transport.capacity()
-        return self.engine.jobs
 
     # -- lifecycle -------------------------------------------------------
 
@@ -367,10 +361,7 @@ class JobServer:
             "ok": True,
             "queue_depth": self.queue_depth(),
             "inflight": len(self._inflight),
-            "capacity": self._capacity(),
-            "transport": (self.engine.transport.describe()
-                          if self.engine.transport is not None
-                          else "local"),
+            "capacity": self.engine.jobs,
             "submitted": self.submitted,
             "completed": self.completed,
         }

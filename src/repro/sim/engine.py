@@ -285,8 +285,8 @@ def _import_closure():
 def fingerprint_files():
     """Sorted package-relative paths the code fingerprint covers: the
     code that can change a result (:func:`_import_closure`).  Editing
-    a module outside it (the experiment CLI and figures, the serve
-    client and worker) keeps every cached run."""
+    a module outside it (the experiment CLI and figures, the job
+    server and its client) keeps every cached run."""
     return sorted(_import_closure())
 
 
@@ -689,12 +689,14 @@ def _execute_to_summary(request, request_key):
 
 def _pool_worker(payload):
     """Top-level (picklable) ProcessPoolExecutor entry point; returns
-    ``(summary, meta)`` where ``meta`` carries the worker pid and its
-    execution wall clock for the parent's flight recorder."""
+    ``(summary, meta)`` where ``meta`` carries the worker name
+    (``pid:<n>``) and its execution wall clock for the parent's flight
+    recorder."""
     request, request_key = payload
     t0 = clock()
     summary = _execute_to_summary(request, request_key)
-    return summary, {"pid": os.getpid(), "exec_s": clock() - t0}
+    return summary, {"worker": "pid:%d" % os.getpid(),
+                     "exec_s": clock() - t0}
 
 
 def _stamp_done(done_at, key, _fut):
@@ -876,8 +878,7 @@ class RunEngine:
     process fan-out; accumulates its own observability counters in a
     stats registry group (recorded into experiment manifests)."""
 
-    def __init__(self, jobs=None, cache=None, mode="simulate",
-                 transport=None):
+    def __init__(self, jobs=None, cache=None, mode="simulate"):
         if mode not in ENGINE_MODES:
             raise ValueError("unknown engine mode %r (choose from %s)"
                              % (mode, ", ".join(ENGINE_MODES)))
@@ -885,12 +886,6 @@ class RunEngine:
             else jobs_from_env()
         self.cache = cache
         self.mode = mode
-        #: Pluggable executor transport (repro.serve.transport).  None
-        #: means the classic behaviour: in-process when ``jobs<=1``, a
-        #: per-batch local ProcessPoolExecutor otherwise.  With a
-        #: transport installed every simulated point fans out through
-        #: it (socket workers on other hosts, a job-file spool, ...).
-        self.transport = transport
         self.fingerprint = code_fingerprint()
         self.requests = 0
         self.unique_points = 0
@@ -964,8 +959,6 @@ class RunEngine:
                              if self.cache is not None else None)
         snap["cache_max_bytes"] = (self.cache.max_bytes
                                    if self.cache is not None else None)
-        snap["transport"] = (self.transport.describe()
-                             if self.transport is not None else "local")
         snap["flight_recorder"] = self.recorder.summary(self.jobs)
         return snap
 
@@ -1085,12 +1078,9 @@ class RunEngine:
         if sim_missing:
             t0 = clock()
             # A live session always executes in-process (tracer/stats
-            # need the System); otherwise an installed transport takes
-            # every point, and the classic local rules apply without
-            # one.
-            in_process = live_only or (
-                self.transport is None
-                and (self.jobs <= 1 or len(sim_missing) <= 1))
+            # need the System).
+            in_process = (live_only or self.jobs <= 1
+                          or len(sim_missing) <= 1)
             if in_process:
                 # run_system records these into the session itself
                 # (tracer attach, live extras) -- no double noting.
@@ -1120,24 +1110,17 @@ class RunEngine:
         return [summaries[key] for key in keys]
 
     def _run_pool(self, payloads, t_batch, session=None):
-        """Fan a batch out through the executor transport.
+        """Fan a batch out over a per-batch local process pool of
+        ``min(jobs, len(payloads))`` workers."""
+        # Imported here so serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-        Without an installed transport a per-batch local process pool
-        is built and torn down here (the pre-transport behaviour,
-        byte-for-byte); an installed transport is long-lived and owned
-        by whoever installed it (the job server, a test)."""
-        transport = self.transport
-        owned = transport is None
-        if owned:
-            from repro.serve.transport import LocalPoolTransport
-            transport = LocalPoolTransport(
-                jobs=min(self.jobs, len(payloads)))
-        transport.start()
         done_at = {}
-        try:
+        with ProcessPoolExecutor(
+                max_workers=min(self.jobs, len(payloads))) as pool:
             futures = []
             for payload in payloads:
-                fut = transport.submit(*payload)
+                fut = pool.submit(_pool_worker, payload)
                 fut.add_done_callback(
                     functools.partial(_stamp_done, done_at, payload[1]))
                 futures.append(fut)
@@ -1153,10 +1136,7 @@ class RunEngine:
                     max(started - t_batch, 0.0), meta["exec_s"],
                     started - self.recorder.epoch))
                 results.append(summary)
-            return results
-        finally:
-            if owned:
-                transport.stop()
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,8 @@ def test_fingerprint_covers_fault_sources():
 
 def test_fingerprint_follows_imports(tmp_path):
     """Only modules the engine imports are fingerprinted: in a copied
-    tree, editing the experiment CLI keeps the key and editing the
-    simulator changes it."""
+    tree, editing the experiment CLI or the job server keeps the key
+    and editing the simulator changes it."""
     import shutil
     import subprocess
     import sys
@@ -202,6 +202,8 @@ def test_fingerprint_follows_imports(tmp_path):
     files = fingerprint_files()
     assert "experiments/cli.py" not in files
     assert "serve/client.py" not in files
+    assert "serve/server.py" not in files
+    assert "serve/proto.py" not in files
     assert "verify/__init__.py" in files    # runs on import
 
     def fingerprint_after(edit):
@@ -223,6 +225,7 @@ def test_fingerprint_follows_imports(tmp_path):
     code_fingerprint.cache_clear()
     assert base == code_fingerprint()       # the copy is faithful
     assert fingerprint_after("experiments/cli.py") == base
+    assert fingerprint_after("serve/server.py") == base
     assert fingerprint_after("sim/system.py") != base
 
 

@@ -1,16 +1,12 @@
-"""Job-server and transport guarantees.
+"""Job-server guarantees.
 
 The contracts the serving layer must keep:
 
 * N concurrent identical submissions execute exactly one simulation
   (in-flight dedup + response memo), and every caller gets the same
   summary;
-* results served through any transport (socket workers, job-file
-  spool) are bit-identical to the serial engine -- fig3 rows
-  row-for-row;
-* a worker dying mid-job requeues the job (work stealing) and the
-  batch still completes; deterministic remote exceptions do not
-  retry;
+* results served over the engine's process pool are bit-identical to
+  the serial engine -- fig3 rows row-for-row;
 * backpressure: past the configured queue depth the server answers
   429 with Retry-After instead of queueing without bound;
 * the wire layer round-trips RunRequests (canonical JSON) and
@@ -20,7 +16,7 @@ The contracts the serving layer must keep:
 import asyncio
 import concurrent.futures
 import json
-import socket as socket_mod
+import socket
 import threading
 import time
 
@@ -31,34 +27,22 @@ from repro.experiments.sharing import fig3_breakdown
 from repro.serve import proto
 from repro.serve.client import ClientEngine, ServerClient, ServerError
 from repro.serve.server import JobServer
-from repro.serve.transport import (JobFileTransport, LocalPoolTransport,
-                                   SocketWorkerTransport,
-                                   TransportError, transport_from_spec)
-from repro.serve.worker import run_socket_worker, run_spool_agent
-from repro.sim.engine import (RunEngine, RunRequest, code_fingerprint,
-                              use_engine)
+from repro.sim.engine import RunEngine, RunRequest, use_engine
 from repro.sim.sampling import SamplingPlan
 from repro.workloads.scaleout import SCALEOUT_WORKLOADS
 
 PLAN = SamplingPlan(1500, 800)
 SCALE = 512
-FIG3_WORKLOADS = ("web_search", "data_serving")
-
-#: to_dict fields that measure the host, not the simulation.
-WALL_FIELDS = ("warmup_wall_s", "measure_wall_s")
+#: Three points, so that the server's dispatch batches, cut by arrival
+#: timing, usually include one of two or more points, which the engine
+#: fans out over its pool.
+FIG3_WORKLOADS = ("web_search", "data_serving", "web_frontend")
 
 
 def _point(seed=7, workload="web_search"):
     return RunRequest.point(
         system_config("baseline", num_cores=4, scale=SCALE),
         SCALEOUT_WORKLOADS[workload], PLAN, seed)
-
-
-def _strip_wall(summary_dict):
-    out = dict(summary_dict)
-    for field in WALL_FIELDS:
-        out.pop(field, None)
-    return out
 
 
 class ServerThread:
@@ -140,21 +124,6 @@ def test_unknown_request_fields_are_rejected():
         assert exc.value.status == 400
 
 
-def test_transport_from_spec():
-    assert transport_from_spec("") is None
-    assert transport_from_spec("none") is None
-    local = transport_from_spec("local:3")
-    assert isinstance(local, LocalPoolTransport) and local.jobs == 3
-    sock = transport_from_spec("socket:127.0.0.1:0")
-    assert isinstance(sock, SocketWorkerTransport)
-    spool = transport_from_spec("jobfile:/tmp/spool:2")
-    assert isinstance(spool, JobFileTransport) and spool.slots == 2
-    with pytest.raises(ValueError):
-        transport_from_spec("jobfile")
-    with pytest.raises(ValueError):
-        transport_from_spec("carrier-pigeon:9")
-
-
 # ---------------------------------------------------------------------------
 # in-flight dedup: N identical submissions, one simulation
 # ---------------------------------------------------------------------------
@@ -189,7 +158,7 @@ def test_concurrent_identical_posts_execute_once():
 
 
 # ---------------------------------------------------------------------------
-# socket-worker transport: fig3 over HTTP is bit-identical to serial
+# fig3 served over the process pool is bit-identical to serial
 # ---------------------------------------------------------------------------
 
 
@@ -199,123 +168,18 @@ def _fig3(engine):
                               workloads=list(FIG3_WORKLOADS))
 
 
-def test_fig3_socket_workers_bit_identical_to_serial():
+def test_fig3_served_over_pool_bit_identical_to_serial():
+    """fig3 through a JobServer over RunEngine(jobs=2) matches the
+    serial engine row for row, whichever batches went to the pool."""
     serial_rows = _fig3(RunEngine(jobs=1))
 
-    transport = SocketWorkerTransport()
-    transport.start()
-    workers = [threading.Thread(
-        target=run_socket_worker,
-        args=(transport.host, transport.port),
-        kwargs={"name": "w%d" % i, "reconnect": False},
-        daemon=True) for i in range(2)]
-    for w in workers:
-        w.start()
-    try:
-        assert transport.wait_for_workers(2)
-        engine = RunEngine(jobs=1, transport=transport)
-        with ServerThread(engine) as server:
-            remote = ClientEngine(ServerClient(server.url))
-            remote_rows = _fig3(remote)
-        assert remote_rows == serial_rows   # row-for-row, no tolerance
-        assert engine.executed == len(FIG3_WORKLOADS)
-        assert transport.completed == len(FIG3_WORKLOADS)
-        assert "socket:" in engine.snapshot()["transport"]
-    finally:
-        transport.stop()
-
-
-# ---------------------------------------------------------------------------
-# worker failure model
-# ---------------------------------------------------------------------------
-
-
-def _fake_worker_dies_mid_job(transport, got_job):
-    """Connect, say hello, accept one job, die without answering."""
-    sock = socket_mod.create_connection(transport.address, timeout=10)
-    proto.send_frame(sock, {"type": "hello", "worker": "flaky"})
-    frame = proto.recv_frame(sock)
-    assert frame["type"] == "job"
-    got_job.set()
-    sock.close()
-
-
-def test_worker_death_mid_job_requeues_and_completes():
-    serial = RunEngine(jobs=1).run([_point()])[0]
-
-    transport = SocketWorkerTransport()
-    transport.start()
-    try:
-        got_job = threading.Event()
-        flaky = threading.Thread(
-            target=_fake_worker_dies_mid_job,
-            args=(transport, got_job), daemon=True)
-        flaky.start()
-        assert transport.wait_for_workers(1)
-
-        req = _point()
-        fut = transport.submit(req, req.key(code_fingerprint()))
-        assert got_job.wait(10), "flaky worker never got the job"
-
-        # a healthy worker joins and steals the requeued job
-        healthy = threading.Thread(
-            target=run_socket_worker,
-            args=(transport.host, transport.port),
-            kwargs={"name": "healthy", "reconnect": False,
-                    "max_jobs": 1},
-            daemon=True)
-        healthy.start()
-        summary, meta = fut.result(timeout=120)
-        assert meta["worker"].startswith("healthy")
-        assert transport.requeues == 1
-        assert _strip_wall(summary.to_dict()) \
-            == _strip_wall(serial.to_dict())
-    finally:
-        transport.stop()
-
-
-def test_worker_death_past_retry_budget_fails_future():
-    transport = SocketWorkerTransport(max_attempts=1)
-    transport.start()
-    try:
-        got_job = threading.Event()
-        threading.Thread(target=_fake_worker_dies_mid_job,
-                         args=(transport, got_job),
-                         daemon=True).start()
-        assert transport.wait_for_workers(1)
-        fut = transport.submit(_point(), "k")
-        with pytest.raises(TransportError):
-            fut.result(timeout=30)
-    finally:
-        transport.stop()
-
-
-# ---------------------------------------------------------------------------
-# job-file transport
-# ---------------------------------------------------------------------------
-
-
-def test_jobfile_transport_matches_serial(tmp_path):
-    serial = RunEngine(jobs=1).run([_point()])[0]
-    transport = JobFileTransport(str(tmp_path / "spool"), slots=1)
-    transport.start()
-    agent = threading.Thread(
-        target=run_spool_agent,
-        args=(str(tmp_path / "spool"),),
-        kwargs={"name": "agent0", "max_jobs": 1}, daemon=True)
-    agent.start()
-    try:
-        engine = RunEngine(jobs=1, transport=transport)
-        summary = engine.run([_point()])[0]
-        assert _strip_wall(summary.to_dict()) \
-            == _strip_wall(serial.to_dict())
-        assert engine.executed == 1
-        span_workers = {s["worker"]
-                        for s in engine.recorder.spans()}
-        assert "spool:agent0" in span_workers
-    finally:
-        agent.join(10)
-        transport.stop()
+    engine = RunEngine(jobs=2)
+    with ServerThread(engine) as server:
+        client = ServerClient(server.url)
+        remote_rows = _fig3(ClientEngine(client))
+        assert client.health()["capacity"] == 2
+    assert remote_rows == serial_rows   # row-for-row, no tolerance
+    assert engine.executed == len(FIG3_WORKLOADS)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +288,7 @@ def test_unknown_route_and_bad_json():
             client._request("POST", "/runs", body={"request": 5})
         assert exc.value.status == 400
         # malformed JSON body straight over the socket
-        sock = socket_mod.create_connection((server.host, server.port),
+        sock = socket.create_connection((server.host, server.port),
                                             timeout=10)
         payload = b"not json"
         sock.sendall(b"POST /runs HTTP/1.1\r\n"
